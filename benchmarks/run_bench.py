@@ -997,14 +997,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "below the 50x target",
     )
     parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="benchmark the sharded shared-memory serving fleet: "
-        "streams/sec and p50/p99 latency over shard counts, ring vs "
-        "pickle-queue transport, and a rolling hot-swap trial; exits "
-        "nonzero on any bit-identity or hot-swap failure",
-    )
-    parser.add_argument(
         "--markdown",
         default=None,
         metavar="leaderboard.md",
@@ -1017,11 +1009,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if sum(
         (
             args.datagen, args.monitor, args.screen, args.tournament,
-            args.serve, args.surrogate,
+            args.surrogate,
         )
     ) > 1:
         parser.error(
-            "--datagen, --monitor, --screen, --tournament, --serve and "
+            "--datagen, --monitor, --screen, --tournament and "
             "--surrogate are mutually exclusive"
         )
     if args.markdown and not args.tournament:
@@ -1051,49 +1043,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"guard_violations={rc['guard_violations']}  "
             f"rank_agreement={rc['rank_agreement']:.2f}"
         )
-        return emit_bench(report, args.out)
-
-    if args.serve:
-        from serve_bench import run_serve
-
-        report = run_serve(quick=args.quick)
-        print(
-            f"serve profile: {report['profile']}  cpus: "
-            f"{report['cpu_count']}  streams: {report['n_streams']}  "
-            f"cycles: {report['n_cycles']}  slot_ticks: "
-            f"{report['slot_ticks']}"
-        )
-        ref = report["reference"]
-        print(
-            f"reference run_batch: {ref['run_batch_s']:.3f}s "
-            f"({ref['frames_per_s']:,.0f} frames/s)"
-        )
-        tr = report["transport"]
-        print(
-            f"transport @1 shard: queue+pickle {tr['queue_pickle_s']:.3f}s "
-            f"vs ring {tr['ring_s']:.3f}s  speedup {tr['speedup']:.2f}x"
-        )
-        for point in report["points"]:
-            print(
-                f"  shards={point['shards']}: "
-                f"{point['streams_per_s']:,.1f} streams/s  "
-                f"p50 {point['p50_ms']:.2f} ms  p99 {point['p99_ms']:.2f} ms  "
-                f"x{point['speedup_vs_1shard']:.2f} vs 1 shard  "
-                f"bit_identical={point['bit_identical']}"
-            )
-        hs = report["hot_swap"]
-        print(
-            f"hot swap @cycle {hs['swap_at_cycle']}: "
-            f"dropped={hs['dropped_frames']} "
-            f"divergent={hs['divergent_cycles']} "
-            f"old/new slots {hs['slots_old_model']}/{hs['slots_new_model']}  "
-            f"bit_identical={hs['bit_identical']}"
-        )
-        if not report["scaling_gated"]:
-            print(
-                f"note: scaling target not gated (cpu_count="
-                f"{report['cpu_count']} < {4}); curve recorded as data"
-            )
         return emit_bench(report, args.out)
 
     if args.tournament:

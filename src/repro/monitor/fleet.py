@@ -505,11 +505,7 @@ class FleetMonitor:
 
     # -- serving: whole-tensor fast path --------------------------------
 
-    def run_batch(
-        self,
-        streams: np.ndarray,
-        v_min_out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def run_batch(self, streams: np.ndarray) -> np.ndarray:
         """Process a whole ``(S, T, Q)`` tensor; returns ``(S, T)`` flags.
 
         Semantically identical (bit-for-bit: predictions, episodes,
@@ -528,10 +524,6 @@ class FleetMonitor:
         ----------
         streams:
             ``(S, T, Q)`` sensor readings.
-        v_min_out:
-            Optional ``(S, T)`` float64 array filled with the per-cycle
-            minimum predicted voltages (what the serving layer ships
-            back over its result rings alongside the alarm flags).
         """
         t0 = _time.perf_counter()
         streams = np.asarray(streams, dtype=float)
@@ -543,13 +535,6 @@ class FleetMonitor:
                 f"got shape {streams.shape}"
             )
         n_cycles = streams.shape[1]
-        if v_min_out is not None and v_min_out.shape != (
-            self.n_streams, n_cycles
-        ):
-            raise ValueError(
-                f"v_min_out must be ({self.n_streams}, {n_cycles}); got "
-                f"{v_min_out.shape}"
-            )
         if n_cycles == 0:
             return np.zeros((self.n_streams, 0), dtype=bool)
         t_base = self._cycle
@@ -586,8 +571,6 @@ class FleetMonitor:
         v_min, blocks = self._predict_batch(
             streams, entry_compiled, carried, changes, clean_from
         )
-        if v_min_out is not None:
-            np.copyto(v_min_out, v_min)
         flags = np.zeros((self.n_streams, n_cycles), dtype=bool)
         for s in range(self.n_streams):
             if np.isfinite(v_min[s]).all():
@@ -977,65 +960,6 @@ class FleetMonitor:
                 sensor_col=col,
                 cycle=cycle,
                 screen=screen,
-            )
-
-    # -- rolling model swap -----------------------------------------------
-
-    def swap_model(self, model: PlacementModel) -> None:
-        """Atomically replace the served model between batches.
-
-        The new model must read the same sensor layout and predict the
-        same blocks (its selected columns must lie inside
-        :attr:`sensor_cols` and ``n_blocks`` must match).  All episode,
-        debounce and fault state carries over; degraded streams re-derive
-        their failover chain from the *new* model's leave-one-out
-        fallbacks in the original failure order, so a hot-swap behaves
-        exactly as if the fleet had been constructed with the new model
-        and replayed its failure history.
-
-        Call between :meth:`step` / :meth:`run_batch` calls — the swap
-        is instantaneous from the stream's point of view (no frames are
-        dropped and no state machine resets).
-        """
-        if model.n_blocks != self._base.n_blocks:
-            raise ValueError(
-                f"swap model predicts {model.n_blocks} blocks; the fleet "
-                f"serves {self._base.n_blocks}"
-            )
-        new_base = CompiledPredictor.from_model(
-            model, sensor_cols=self.sensor_cols
-        )
-        new_models: List[Optional[PlacementModel]] = [None] * self.n_streams
-        new_compiled: List[Optional[CompiledPredictor]] = (
-            [None] * self.n_streams
-        )
-        for s in range(self.n_streams):
-            if self._models[s] is None:
-                continue
-            chain: Optional[PlacementModel] = None
-            for failure in self.failures[s]:
-                col = failure.candidate_col
-                chain = (
-                    model.fallback_models()[col]
-                    if chain is None
-                    else chain.without_sensor(col)
-                )
-            new_models[s] = chain
-            new_compiled[s] = CompiledPredictor.from_model(
-                chain, sensor_cols=self.sensor_cols
-            )
-        self.model = model
-        self._base = new_base
-        self._models = new_models
-        self._compiled = new_compiled
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(self._metric("monitor.model_swaps")).inc()
-            registry.event(
-                "monitor.model_swap",
-                shard=self.shard,
-                cycle=self._cycle,
-                degraded_streams=int(self._detected.any(axis=1).sum()),
             )
 
     # -- session end ------------------------------------------------------

@@ -1,7 +1,7 @@
 """Shared schema for the ``BENCH_*.json`` benchmark reports.
 
 The ``benchmarks/run_bench.py`` modes (λ sweep, datagen, monitor,
-screen, placement tournament, sharded serve) historically drifted in
+screen, placement tournament, surrogate) historically drifted in
 field names — the sweep report did not even carry a ``mode`` stamp.
 This module pins the contract down:
 
@@ -35,8 +35,7 @@ BENCH_SCHEMA = "repro.bench/v1"
 
 #: The benchmark modes ``run_bench.py`` produces.
 MODES = (
-    "sweep", "datagen", "monitor", "screen", "tournament", "serve",
-    "surrogate",
+    "sweep", "datagen", "monitor", "screen", "tournament", "surrogate",
 )
 
 #: Fields every report of a mode must carry to be considered valid.
@@ -51,10 +50,6 @@ _REQUIRED_FIELDS = {
     ),
     "screen": ("compare", "large", "counters", "problems"),
     "tournament": ("budget", "placers", "scenarios", "entries", "problems"),
-    "serve": (
-        "cpu_count", "reference", "points", "hot_swap",
-        "bit_identical", "counters", "problems",
-    ),
     "surrogate": (
         "throughput", "recall", "counters", "problems",
     ),
@@ -147,48 +142,7 @@ def normalize_bench(doc: Dict[str, Any]) -> Dict[str, Any]:
     timers: Dict[str, Dict[str, float]] = {}
     scalars: Dict[str, float] = {}
 
-    if mode == "serve":
-        counters.update(doc.get("counters", {}))
-        _scalar(scalars, doc, "cpu_count")
-        scalars["bit_identical"] = float(bool(doc.get("bit_identical")))
-        reference = doc.get("reference", {})
-        if isinstance(reference, dict):
-            _scalar(scalars, reference, "run_batch_s", "streams_per_s")
-        transport = doc.get("transport", {})
-        if isinstance(transport, dict):
-            _scalar(
-                scalars, transport,
-                "queue_pickle_s", "ring_s", "speedup",
-            )
-        for point in doc.get("points", []):
-            shards = point.get("shards")
-            tag = f"[shards={shards}]" if isinstance(shards, int) else ""
-            for field in (
-                "streams_per_s", "frames_per_s", "speedup_vs_1shard",
-            ):
-                value = point.get(field)
-                if isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
-                    scalars[f"{field}{tag}"] = float(value)
-            # End-to-end slot latencies become timer summaries so the
-            # report CLI's latency gate (p99 + 50%) applies to them.
-            p50, p99, count = (
-                point.get("p50_ms"), point.get("p99_ms"), point.get("slots")
-            )
-            if all(isinstance(v, (int, float)) for v in (p50, p99, count)):
-                timers[f"serve.e2e{tag}"] = {
-                    "p50_s": float(p50) / 1e3,
-                    "p99_s": float(p99) / 1e3,
-                    "count": float(count),
-                }
-        hot_swap = doc.get("hot_swap", {})
-        if isinstance(hot_swap, dict):
-            _scalar(
-                scalars, hot_swap, "dropped_frames", "divergent_cycles",
-            )
-        scalars["problems"] = float(len(doc.get("problems", [])))
-    elif mode == "sweep":
+    if mode == "sweep":
         counters.update(doc.get("counters", {}))
         _scalar(scalars, doc, "datagen_s", "engine_s", "baseline_s", "speedup")
         for point in doc.get("engine_points", []):

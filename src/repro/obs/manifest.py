@@ -5,8 +5,9 @@ profile it used, per-experiment span timings, the dataset it ran on,
 Group-Lasso convergence statistics (iterations and final residual per
 lambda), the full span log, and a metrics snapshot.  Since schema v3 a
 ``shards`` section breaks serving runs down per shard, harvested from
-the ``obs.worker`` events the :class:`~repro.serve.fleet.ShardedFleet`
-emits after merging each worker's snapshot.  The experiment runner
+the ``obs.worker`` events that
+:meth:`~repro.monitor.fleet.FleetMonitor.finish` emits for fleets
+built with a ``shard`` label.  The experiment runner
 writes it via ``--trace-out``; anything that holds an enabled registry
 can build one.
 """
@@ -71,11 +72,11 @@ def worker_stats(registry: MetricsRegistry) -> List[Dict[str, Any]]:
 def shard_stats(registry: MetricsRegistry) -> List[Dict[str, Any]]:
     """Per-shard serving telemetry for the manifest's ``shards`` section.
 
-    Groups the ``obs.worker`` events that carry a ``shard`` label (the
-    sharded serving fleet emits one per worker process at
-    ``ShardedFleet.finish``) and keeps, per shard, the scalar roll-up
-    fields (streams, cycles, frames, slots, events, failovers, model
-    version) next to the shard's merged metrics snapshot.  Plain
+    Groups the ``obs.worker`` events that carry a ``shard`` label (a
+    :class:`~repro.monitor.fleet.FleetMonitor` built with ``shard=``
+    emits one at :meth:`~repro.monitor.fleet.FleetMonitor.finish`) and
+    keeps, per shard, the scalar roll-up fields (streams, cycles,
+    events, failovers) next to the shard's metrics snapshot.  Plain
     ``n_jobs`` workers (no ``shard`` label) stay in
     :func:`worker_stats` only.
     """
@@ -86,8 +87,7 @@ def shard_stats(registry: MetricsRegistry) -> List[Dict[str, Any]]:
             continue
         entry: Dict[str, Any] = {"shard": shard}
         for field in (
-            "source", "n_streams", "cycles", "frames", "slots",
-            "events", "failovers", "model_version",
+            "source", "n_streams", "cycles", "events", "failovers",
         ):
             if field in event:
                 entry[field] = event[field]

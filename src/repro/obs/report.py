@@ -28,9 +28,10 @@ are far more stable than end-to-end walls.
 Exit status: 0 when no regression, 1 when at least one metric regressed
 beyond its threshold, 2 on usage/load errors — including artifacts
 whose metrics *cannot be aligned*: a missing or malformed ``metrics``
-section, a non-numeric counter, or a NaN/infinite metric value each
-abort with a "cannot align" message instead of producing a diff that
-silently treats the bad value as "ok".  CI runs this non-blocking
+section, a non-numeric counter, a NaN/infinite metric value, or two
+same-mode runs recorded under different profiles each abort with a
+"cannot align" message instead of producing a diff that silently
+treats the bad value as "ok".  CI runs this non-blocking
 (``|| true``) against the committed BENCH baselines and archives the
 JSON verdict as a workflow artifact.
 """
@@ -252,12 +253,34 @@ def load_run(path: str) -> Dict[str, Any]:
             run = normalize_manifest(doc)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-        return _check_alignable(path, run)
-    problems = validate_bench(doc)
-    if problems:
-        detail = "; ".join(problems)
-        raise ValueError(f"{path}: invalid bench report: {detail}")
-    return _check_alignable(path, normalize_bench(doc))
+    else:
+        problems = validate_bench(doc)
+        if problems:
+            detail = "; ".join(problems)
+            raise ValueError(f"{path}: invalid bench report: {detail}")
+        run = normalize_bench(doc)
+    run["profile"] = doc.get("profile")
+    return _check_alignable(path, run)
+
+
+def _check_same_profile(old: Dict[str, Any], new: Dict[str, Any]) -> None:
+    """Reject two same-mode runs recorded under different profiles.
+
+    A quick smoke against a full baseline differs in workload size, so
+    every wall-clock and latency delta between them is meaningless.
+    Profile names are per mode (``fast`` for a sweep, ``full`` for a
+    monitor bench), so runs of different modes are left to the
+    mode-mismatch warning instead.
+    """
+    if old["mode"] != new["mode"]:
+        return
+    if None not in (old["profile"], new["profile"]) and (
+        old["profile"] != new["profile"]
+    ):
+        raise ValueError(
+            f"cannot align: profile mismatch ({old['profile']} vs "
+            f"{new['profile']})"
+        )
 
 
 def _diff_value(
@@ -447,6 +470,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         old = load_run(args.old)
         new = load_run(args.new)
+        _check_same_profile(old, new)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

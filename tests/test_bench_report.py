@@ -317,3 +317,21 @@ class TestCannotAlign:
         empty_path = self._write(tmp_path, "empty.json", empty)
         assert main([path, empty_path]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_profile_mismatch_exit_two(self, tmp_path, capsys):
+        # A quick smoke diffed against a full baseline must not report
+        # its smaller wall times as "improved".
+        path, doc = _committed_bench("monitor")
+        quick = copy.deepcopy(doc)
+        quick["profile"] = "quick"
+        quick_path = self._write(tmp_path, "quick.json", quick)
+        assert main([path, quick_path]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot align: profile mismatch ({doc['profile']} vs quick)" in err
+
+    def test_profile_absent_on_one_side_still_diffs(self, tmp_path, capsys):
+        path, doc = _committed_bench("monitor")
+        bare = copy.deepcopy(doc)
+        del bare["profile"]
+        bare_path = self._write(tmp_path, "bare.json", bare)
+        assert main([path, bare_path]) == 0

@@ -307,10 +307,6 @@ _MODE_STUBS = {
         "budget": 1.0, "placers": [], "scenarios": {}, "entries": [],
         "problems": [],
     },
-    "serve": {
-        "cpu_count": 1, "reference": {}, "points": [], "hot_swap": {},
-        "bit_identical": True, "counters": {}, "problems": [],
-    },
     "surrogate": {
         "throughput": {}, "recall": {}, "counters": {}, "problems": [],
     },
