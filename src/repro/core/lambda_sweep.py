@@ -187,6 +187,8 @@ def fit_for_sensor_count(
     max_probes:
         Bisection iterations after bracketing.  Probes whose budget is
         too small to select anything do not count against this limit.
+        Bisection also ends once the bracket is narrower than the
+        solver's budget resolution, ``base_config.rtol``.
 
     Returns
     -------
@@ -235,6 +237,12 @@ def fit_for_sensor_count(
     attempts = 0
     while probes < max_probes and attempts < 4 * max_probes:
         if best_gap == 0:
+            break
+        if hi <= lo * (1.0 + base_config.rtol):
+            # The constrained solve meets a budget only to within rtol,
+            # so budgets this close are indistinguishable: probing on
+            # cannot move the count (a non-monotone count can leave the
+            # bracket collapsed on a jump it never crosses).
             break
         attempts += 1
         mid = float(np.sqrt(lo * hi))

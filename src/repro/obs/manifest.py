@@ -7,9 +7,11 @@ lambda), the full span log, and a metrics snapshot.  Since schema v3 a
 ``shards`` section breaks serving runs down per shard, harvested from
 the ``obs.worker`` events that
 :meth:`~repro.monitor.fleet.FleetMonitor.finish` emits for fleets
-built with a ``shard`` label.  The experiment runner
-writes it via ``--trace-out``; anything that holds an enabled registry
-can build one.
+built with a ``shard`` label.  The ``kernels`` section records which
+compiled kernels the process runs (``{"lu": bool, "fista": bool}``, see
+:func:`repro.utils.ckernels.active_kernels`), so a timed run says which
+solver path it timed.  The experiment runner writes it via
+``--trace-out``; anything that holds an enabled registry can build one.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
+from repro.utils.ckernels import active_kernels
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -152,6 +155,7 @@ def build_manifest(
         "group_lasso": convergence_stats(registry),
         "workers": worker_stats(registry),
         "shards": shard_stats(registry),
+        "kernels": active_kernels(),
         "spans": [record.as_dict() for record in registry.spans],
         "metrics": registry.snapshot(),
         "event_counts": event_counts,

@@ -24,6 +24,7 @@ from repro.experiments.data_generation import (
     generate_maps,
 )
 from repro.powergrid.fastsolve import build_lu_kernel
+from repro.utils import ckernels
 from repro.workload.current_map import TraceLoad, TraceLoadBatch
 from tests.conftest import TINY_SETUP
 
@@ -80,6 +81,10 @@ def _reference(chip, load, **kwargs):
     )
 
 
+@pytest.mark.skipif(
+    bool(os.environ.get(ckernels.DISABLE_ENV_VAR)),
+    reason="compiled kernels disabled by REPRO_DISABLE_CKERNEL",
+)
 class TestKernel:
     def test_kernel_compiles_here(self, chip):
         # The container ships a C toolchain; a silent fallback would
@@ -103,13 +108,10 @@ class TestKernel:
             single = kernel.solve(np.ascontiguousarray(rhs[:, b]))
             assert np.array_equal(batched[:, b], single)
 
-    def test_disable_env_forces_fallback(self, monkeypatch):
-        import repro.powergrid.fastsolve as fastsolve
-
-        monkeypatch.setenv(fastsolve.DISABLE_ENV_VAR, "1")
-        monkeypatch.setattr(fastsolve, "_lib", None)
-        monkeypatch.setattr(fastsolve, "_lib_failed", False)
-        assert fastsolve._get_lib() is None
+    def test_disable_env_forces_fallback(self, monkeypatch, chip):
+        monkeypatch.setenv(ckernels.DISABLE_ENV_VAR, "1")
+        assert ckernels.load_library() is None
+        assert build_lu_kernel(chip.solver._lu) is None
 
 
 class TestSimulateMany:

@@ -1,10 +1,16 @@
 """Tests for repro.core.group_lasso — the paper's Eq. (12) solver."""
 
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.group_lasso as gl
+from repro.utils import ckernels
 from repro.core.group_lasso import (
     GroupLassoResult,
     StrongRuleScreener,
@@ -359,3 +365,181 @@ class TestSolverProperties:
         lo = group_lasso_penalized(Z, G, mu=mu_frac * mu_max * 0.5)
         hi = group_lasso_penalized(Z, G, mu=mu_frac * mu_max)
         assert hi.norm_sum() <= lo.norm_sum() + 1e-6
+
+
+def fista_inputs(Z, G):
+    stats = SufficientStats.from_arrays(Z, G)
+    return stats, stats.A.T.copy()
+
+
+def assert_same_fista(got, ref):
+    """Same support and converged flag; coefficients to 1e-9 relative."""
+    B_got, _, ok_got, _ = got
+    B_ref, _, ok_ref, _ = ref
+    assert ok_got == ok_ref
+    np.testing.assert_array_equal(
+        np.linalg.norm(B_got, axis=0) > 0, np.linalg.norm(B_ref, axis=0) > 0
+    )
+    scale = max(1.0, float(np.max(np.abs(B_ref))))
+    assert float(np.max(np.abs(B_got - B_ref))) <= 1e-9 * scale
+
+
+class _RestartSpy:
+    """Stands in for numpy inside group_lasso; counts FISTA restarts.
+
+    ``_fista_numpy`` calls ``np.sum`` only for its restart test, whose
+    value is positive exactly when the momentum is reset.
+    """
+
+    def __init__(self):
+        self.restarts = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sum(self, *args, **kwargs):
+        value = np.sum(*args, **kwargs)
+        self.restarts += int(value > 0.0)
+        return value
+
+
+@pytest.fixture
+def fista_kernel():
+    if os.environ.get(ckernels.DISABLE_ENV_VAR):
+        pytest.skip("compiled kernels disabled by REPRO_DISABLE_CKERNEL")
+    handle = ckernels.kernel("fista")
+    # A silent fallback would let these comparisons pass vacuously.
+    assert handle is not None, "compiled FISTA kernel unavailable"
+    return handle
+
+
+class TestCompiledFista:
+    """The compiled FISTA kernel against the numpy reference loop."""
+
+    @staticmethod
+    def both(handle, B0, stats, AT, mu, max_iter=20000, tol=1e-12):
+        L = stats.lipschitz
+        ref = gl._fista_numpy(B0, stats.S, AT, mu, max_iter, tol, L)
+        got = gl._fista_compiled(handle, B0, stats.S, AT, mu, max_iter, tol, L)
+        return got, ref
+
+    @pytest.mark.parametrize("mu_frac", [0.5, 0.05, 1e-4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cold_start_sparse_to_dense(self, fista_kernel, seed, mu_frac):
+        Z, G, _ = sparse_problem(seed=seed, m=30, k=5)
+        stats, AT = fista_inputs(Z, G)
+        B0 = np.zeros((5, 30))
+        mu = mu_frac * stats.mu_max
+        got, ref = self.both(fista_kernel, B0, stats, AT, mu)
+        assert_same_fista(got, ref)
+        assert ref[2]
+        n_active = int(np.count_nonzero(np.linalg.norm(ref[0], axis=0)))
+        if mu_frac == 0.5:
+            assert n_active <= 3
+        if mu_frac == 1e-4:
+            assert n_active == 30
+
+    def test_warm_start(self, fista_kernel):
+        Z, G, _ = sparse_problem(seed=3, m=30, k=5)
+        stats, AT = fista_inputs(Z, G)
+        mu = 0.2 * stats.mu_max
+        warm = group_lasso_penalized(None, None, 1.3 * mu, stats=stats).coef
+        got, ref = self.both(fista_kernel, warm, stats, AT, mu)
+        assert_same_fista(got, ref)
+        assert np.any(warm)
+
+    def test_restart_branch(self, fista_kernel, monkeypatch):
+        Z, G = correlated_problem(seed=4)
+        stats, AT = fista_inputs(Z, G)
+        args = (
+            np.zeros((4, 20)), stats.S, AT, 0.05 * stats.mu_max, 20000,
+            1e-10, stats.lipschitz,
+        )
+        spy = _RestartSpy()
+        monkeypatch.setattr(gl, "np", spy)
+        ref = gl._fista_numpy(*args)
+        monkeypatch.undo()
+        assert spy.restarts > 0
+        assert_same_fista(gl._fista_compiled(fista_kernel, *args), ref)
+
+    def test_max_iter_exhaustion(self, fista_kernel):
+        Z, G = correlated_problem(seed=5)
+        stats, AT = fista_inputs(Z, G)
+        got, ref = self.both(
+            fista_kernel, np.zeros((4, 20)), stats, AT, 0.05 * stats.mu_max,
+            max_iter=25,
+        )
+        assert not ref[2]
+        assert got[1] == ref[1] == 25
+        assert_same_fista(got, ref)
+
+    def test_mu_zero(self, fista_kernel):
+        Z, G, _ = sparse_problem(seed=6, n=200, m=10, active=(3, 7))
+        stats, AT = fista_inputs(Z, G)
+        got, ref = self.both(fista_kernel, np.zeros((5, 10)), stats, AT, 0.0)
+        assert_same_fista(got, ref)
+        ols = np.linalg.lstsq(Z, G, rcond=None)[0].T
+        np.testing.assert_allclose(got[0], ols, atol=1e-6)
+
+    def test_concurrent_threads(self, fista_kernel):
+        problems = []
+        for seed in range(6):
+            Z, G, _ = sparse_problem(seed=seed, m=30, k=5)
+            stats, AT = fista_inputs(Z, G)
+            problems.append((stats, AT, 0.1 * stats.mu_max))
+
+        def solve(problem):
+            stats, AT, mu = problem
+            return gl._fista_compiled(
+                fista_kernel, np.zeros((5, 30)), stats.S, AT, mu, 20000,
+                1e-12, stats.lipschitz,
+            )
+
+        serial = [solve(p) for p in problems]
+        # More threads than cores on a 2-CPU host and frequent thread
+        # switches, so kernel calls overlap.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(solve, problems * 2, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for i, result in enumerate(threaded):
+            expected = serial[i % len(problems)]
+            np.testing.assert_array_equal(result[0], expected[0])
+            assert result[1:] == expected[1:]
+        for (stats, AT, mu), result in zip(problems, serial):
+            ref = gl._fista_numpy(
+                np.zeros((5, 30)), stats.S, AT, mu, 20000, 1e-12,
+                stats.lipschitz,
+            )
+            assert_same_fista(result, ref)
+
+    def test_rejects_mismatched_shapes(self, fista_kernel):
+        Z, G, _ = sparse_problem(seed=8, m=30, k=5)
+        stats, AT = fista_inputs(Z, G)
+        with pytest.raises(ValueError, match="shapes"):
+            gl._fista_compiled(
+                fista_kernel, np.zeros((5, 29)), stats.S, AT, 1.0, 10, 1e-7,
+                stats.lipschitz,
+            )
+
+    def test_disable_env_selects_numpy_path(self, monkeypatch):
+        calls = []
+        reference = gl._fista_numpy
+
+        def spy(*args):
+            calls.append(args)
+            return reference(*args)
+
+        monkeypatch.setattr(gl, "_fista_numpy", spy)
+        Z, G, _ = sparse_problem(seed=7)
+        if ckernels.kernel("fista") is not None:
+            group_lasso_penalized(Z, G, mu=50.0)
+            assert not calls
+        monkeypatch.setenv(ckernels.DISABLE_ENV_VAR, "1")
+        assert ckernels.kernel("fista") is None
+        result = group_lasso_penalized(Z, G, mu=50.0)
+        assert len(calls) == 1
+        assert result.active_groups().tolist() == [3, 11, 27]

@@ -1,8 +1,11 @@
 """Tests for repro.core.lambda_sweep."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import repro.core.lambda_sweep as lambda_sweep
 from repro.core.lambda_sweep import fit_for_sensor_count, sweep_lambda
 from repro.core.pipeline import PipelineConfig
 from tests.conftest import make_synthetic_dataset
@@ -119,3 +122,44 @@ class TestFitForSensorCount:
         )
         per_core = model.n_sensors / len(ds.core_ids)
         assert abs(per_core - 2.0) <= 1.0
+
+    def test_bisection_stops_below_solver_resolution(self, monkeypatch):
+        # A non-monotone count, shaped like the paper chip at one sensor
+        # per core: nothing selected below 0.02 or from 0.03 up to 0.0576
+        # (where the solver collapses to the zero solution), half the
+        # target in between, and 9 sensors for 8 cores from 0.0576 up.
+        # The bracket collapses onto the 0.0576 jump, which no probe can
+        # cross.
+        n_cores = 8
+        fits = []
+
+        class StubEngine:
+            def __init__(self, dataset, config):
+                pass
+
+            def fit(self, budget):
+                fits.append(budget)
+                if budget >= 0.0576:
+                    n = 9
+                elif 0.02 <= budget < 0.03:
+                    n = 4
+                else:
+                    raise ValueError("no sensor selected")
+                return SimpleNamespace(n_sensors=n, budget=budget)
+
+        monkeypatch.setattr(lambda_sweep, "LambdaPathEngine", StubEngine)
+        dataset = SimpleNamespace(core_ids=list(range(n_cores)))
+
+        def run(rtol):
+            fits.clear()
+            model = fit_for_sensor_count(
+                dataset, 1.0, base_config=PipelineConfig(budget=1.0, rtol=rtol)
+            )
+            return model, len(fits)
+
+        # rtol=0 never triggers the resolution stop: the full search.
+        full, full_fits = run(0.0)
+        stopped, stopped_fits = run(1e-2)
+        assert stopped_fits <= 12 < full_fits
+        assert stopped.n_sensors == full.n_sensors == 9
+        assert stopped.budget == full.budget

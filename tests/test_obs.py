@@ -270,6 +270,16 @@ class TestManifest:
         assert m["event_counts"] == {"group_lasso.constrained": 1}
         json.dumps(m)  # JSON-ready
 
+    def test_manifest_records_active_kernels(self, monkeypatch):
+        from repro.utils import ckernels
+
+        m = build_manifest(self._populated_registry())
+        assert m["kernels"] == ckernels.active_kernels()
+        assert set(m["kernels"]) == {"lu", "fista"}
+        monkeypatch.setenv(ckernels.DISABLE_ENV_VAR, "1")
+        m = build_manifest(self._populated_registry())
+        assert m["kernels"] == {"lu": False, "fista": False}
+
     def test_convergence_stats_strips_bookkeeping(self):
         stats = convergence_stats(self._populated_registry())
         assert "event" not in stats[0] and "seq" not in stats[0]
