@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from repro.obs import get_registry, span
 from repro.utils.ckernels import kernel, register_self_check
@@ -575,6 +576,65 @@ def _spectral_bound(S: np.ndarray, n_iter: int = 80, seed: int = 0) -> float:
     return 1.05 * lam
 
 
+def _newton_step(
+    Saa: np.ndarray,
+    c: np.ndarray,
+    U: np.ndarray,
+    Gt: np.ndarray,
+    lam: float,
+) -> np.ndarray:
+    """Solve the damped active-set Newton system without forming it.
+
+    On ``a`` active groups with ``K`` responses the Hessian of the
+    smooth objective, damped by ``lam``, is
+
+    ``H = kron(P, I_K) - sum_j c_j kron(e_j e_j^T, u_j u_j^T)``,
+    ``P = S_aa + diag(c) + lam I``,
+
+    with ``c_j = mu / ||b_j||`` and ``u_j = b_j / ||b_j||`` (the rows
+    of ``U``): a Kronecker term plus a rank-``a`` correction.  The
+    Woodbury identity solves ``H x = g`` with ``a x a`` and ``a x K``
+    algebra only, O(a^3 + a^2 K) instead of O((aK)^3):
+
+    ``Y = P^-1 G^T``, ``r_j = u_j . Y_j``,
+    ``C = diag(1/c) - P^-1 o (U U^T)``, ``z = C^-1 r``,
+    ``x = Y + P^-1 (z o U)``.
+
+    Subtracting ``(P^-1)_jj`` from ``1/c_j`` loses the digits of
+    ``S_jj`` when ``c_j`` dominates it (a group with a tiny norm), so
+    ``C`` is formed from the exact identity
+    ``diag(1/c) - P^-1 = P^-1 Q diag(1/c)`` with ``Q = S_aa + lam I``.
+    ``C`` is positive definite exactly when ``H`` is, so both
+    factorizations are Cholesky; a non-definite system raises
+    :class:`numpy.linalg.LinAlgError`.
+
+    ``Gt`` is the ``(a, K)`` gradient, one row per group; returns the
+    ``(a, K)`` step in the same layout.
+    """
+    a = c.size
+    Q = Saa + lam * np.eye(a)
+    P_chol = _cholesky(Q + np.diag(c))
+    P_inv = dpotrs(P_chol, np.eye(a))[0]
+    Y = dpotrs(P_chol, Gt)[0]
+    r = np.einsum("jk,jk->j", U, Y)
+    C = dpotrs(P_chol, Q / c)[0] + P_inv * (1.0 - U @ U.T)
+    z = dpotrs(_cholesky(0.5 * (C + C.T)), r)[0]
+    return Y + P_inv @ (z[:, None] * U)
+
+
+def _cholesky(M: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of ``M`` for ``dpotrs``.
+
+    LAPACK is called directly, as ``scipy.linalg.cho_factor`` and
+    ``cho_solve`` would, without their per-call overhead: the systems
+    are small (``a <= ~30``), and that overhead is most of their cost.
+    """
+    R, info = dpotrf(M)
+    if info != 0:
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    return R
+
+
 def _active_refine(
     S: np.ndarray,
     A: np.ndarray,
@@ -593,13 +653,14 @@ def _active_refine(
     the *active-set* problem by a damped Newton method instead.  On
     the active groups the objective is smooth with Hessian
     ``kron(S_aa, I_K) + blockdiag(mu (I/n_m - b_m b_m^T / n_m^3))`` —
-    a system of only ``|active| * K`` unknowns, solved directly.
+    solved in its Kronecker-plus-low-rank form by
+    :func:`_newton_step`, never assembled.
     Levenberg-style damping is escalated whenever the Newton direction
-    fails to descend (near-singular S blocks), and an Armijo
-    backtracking line search guards each step.  A KKT screen over the
-    inactive groups (``||A_m - S_m B^T|| <= mu``) then activates any
-    violators — seeded with their exact single-group update — and the
-    refinement repeats until the screen is clean.
+    fails to descend (near-singular S blocks) or cannot be computed,
+    and an Armijo backtracking line search guards each step.  A KKT
+    screen over the inactive groups (``||A_m - S_m B^T|| <= mu``) then
+    activates any violators — seeded with their exact single-group
+    update — and the refinement repeats until the screen is clean.
 
     Returns the refined ``(K, M)`` coefficients, or ``None`` when the
     iteration stalls (callers fall back to the first-order solver).
@@ -608,7 +669,8 @@ def _active_refine(
     B = np.array(B0, dtype=float, copy=True)
     n_features = S.shape[0]
     n_responses = A.shape[1]
-    eye_k = np.eye(n_responses)
+    newton_steps = 0
+    result: Optional[np.ndarray] = None
     for _ in range(max_rounds):
         active = np.nonzero(np.linalg.norm(B, axis=0) > 0)[0]
         converged_inner = active.size == 0
@@ -632,15 +694,9 @@ def _active_refine(
             if gmax <= tol * gscale:
                 converged_inner = True
                 break
-            H0 = np.kron(Saa, eye_k)
-            for j in range(a):
-                bj = Ba[:, j]
-                nj = norms[j]
-                sl = slice(j * n_responses, (j + 1) * n_responses)
-                H0[sl, sl] += (mu / nj) * (
-                    eye_k - np.outer(bj, bj) / (nj * nj)
-                )
-            gvec = Gmat.T.reshape(-1)
+            c = mu / norms
+            U = Ba.T / norms[:, None]
+            Gt = Gmat.T
 
             def obj(Bc: np.ndarray) -> float:
                 return (
@@ -650,21 +706,24 @@ def _active_refine(
                 )
 
             f0 = obj(Ba)
-            lam = 1e-10 * max(float(np.trace(H0)) / H0.shape[0], 1e-12)
+            # Damping seed from the mean Hessian diagonal: tr(H) =
+            # K tr(S_aa) + (K - 1) sum_j c_j.
+            trace_h = n_responses * float(np.trace(Saa)) + (
+                n_responses - 1
+            ) * float(c.sum())
+            lam = 1e-10 * max(trace_h / (a * n_responses), 1e-12)
             accepted = None
             for _attempt in range(12):
-                H = H0.copy()
-                H[np.diag_indices_from(H)] += lam
                 try:
-                    step = np.linalg.solve(H, gvec)
+                    step = _newton_step(Saa, c, U, Gt, lam)
                 except np.linalg.LinAlgError:
                     lam *= 100.0
                     continue
-                descent = float(np.dot(gvec, step))
-                if descent <= 0.0:
+                descent = float(np.sum(Gt * step))
+                if not (descent > 0.0 and np.all(np.isfinite(step))):
                     lam *= 100.0
                     continue
-                Step = step.reshape(a, n_responses).T
+                Step = step.T
                 t = 1.0
                 for _ls in range(20):
                     Bn = Ba - t * Step
@@ -680,13 +739,12 @@ def _active_refine(
                     break
                 lam *= 100.0
             if accepted is None:
-                if gmax <= 1e-6 * gscale:
-                    # Line search exhausted at floating-point noise
-                    # but the gradient is already tighter than the
-                    # first-order solver's tail — good enough.
-                    converged_inner = True
-                    break
-                return None
+                # Line search exhausted at floating-point noise: good
+                # enough when the gradient is already tighter than the
+                # first-order solver's tail, a stall otherwise.
+                converged_inner = gmax <= 1e-6 * gscale
+                break
+            newton_steps += 1
             delta = float(np.max(np.abs(accepted - Ba)))
             B[:, active] = accepted
             scale = max(1.0, float(np.max(np.abs(accepted))))
@@ -694,17 +752,22 @@ def _active_refine(
                 converged_inner = True
                 break
         if not converged_inner:
-            return None
+            break
         C = A - S @ B.T
         c_norms = np.linalg.norm(C, axis=1)
         inactive = np.ones(n_features, dtype=bool)
         inactive[active] = False
         viol = inactive & (c_norms > mu * (1.0 + 1e-8)) & (diag_S > 1e-15)
         if not np.any(viol):
-            return B
+            result = B
+            break
         idx = np.nonzero(viol)[0]
         B[:, idx] = ((1.0 - mu / c_norms[idx]) / diag_S[idx]) * C[idx].T
-    return None
+    if newton_steps:
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter("group_lasso.newton_steps").inc(newton_steps)
+    return result
 
 
 def _fista(
@@ -1245,12 +1308,15 @@ def _constrained(
         its starting point.  Use it for feasibility verdicts; return
         :func:`polish` output to the caller.
         """
-        if screener is not None:
-            refined = _refine_screened(screener, result.penalty, result.coef)
-        else:
-            refined = _active_refine(
-                stats.S, stats.A, stats.diag_S, result.penalty, result.coef
-            )
+        with registry.timer("group_lasso.certify").time():
+            if screener is not None:
+                refined = _refine_screened(
+                    screener, result.penalty, result.coef
+                )
+            else:
+                refined = _active_refine(
+                    stats.S, stats.A, stats.diag_S, result.penalty, result.coef
+                )
         if refined is None:
             return solve(result.penalty, result.coef.copy(), tol=solver_tol)
         active = np.nonzero(np.linalg.norm(refined, axis=0) > 0)[0]

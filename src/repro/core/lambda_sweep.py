@@ -23,6 +23,7 @@ import numpy as np
 from repro.obs import get_registry, span
 from repro.core.path_engine import LambdaPathEngine
 from repro.core.pipeline import PipelineConfig, PlacementModel, fit_placement
+from repro.core.selection import SelectionResult
 from repro.voltage.dataset import VoltageDataset
 from repro.voltage.metrics import max_absolute_error, mean_relative_error
 from repro.utils.rng import RngLike, make_rng
@@ -167,7 +168,9 @@ def fit_for_sensor_count(
     driven by a target count.  All probes share one
     :class:`~repro.core.path_engine.LambdaPathEngine`, so the repeated
     refits reuse each scope's Gram statistics and warm-start each
-    other.
+    other.  Probes read counts off the selections
+    (:meth:`~repro.core.path_engine.LambdaPathEngine.select`); only the
+    returned placement fits its OLS readout.
 
     Parameters
     ----------
@@ -203,14 +206,14 @@ def fit_for_sensor_count(
     n_scopes = max(1, len(dataset.core_ids)) if base_config.per_core else 1
     engine = LambdaPathEngine(dataset, base_config)
 
-    def count_of(model: PlacementModel) -> float:
-        return model.n_sensors / n_scopes
+    def count_of(selections: List[SelectionResult]) -> float:
+        return sum(s.n_selected for s in selections) / n_scopes
 
-    def try_fit(budget: float) -> Optional[PlacementModel]:
+    def try_select(budget: float) -> Optional[List[SelectionResult]]:
         # Budgets too small to select anything raise ValueError; report
         # them as None so bracketing/bisection can react.
         try:
-            return engine.fit(budget)
+            return engine.select(budget)
         except ValueError:
             return None
 
@@ -219,18 +222,18 @@ def fit_for_sensor_count(
     # shrink the count further and would return a far-off model.
     if budget_hi is None:
         budget_hi = 1.0
-    model_hi = try_fit(budget_hi)
+    sel_hi = try_select(budget_hi)
     for _ in range(12):
-        if model_hi is not None and count_of(model_hi) >= target_per_core:
+        if sel_hi is not None and count_of(sel_hi) >= target_per_core:
             break
         budget_hi *= 2.5
-        model_hi = try_fit(budget_hi)
-    if model_hi is None:
+        sel_hi = try_select(budget_hi)
+    if sel_hi is None:
         raise ValueError(
             f"no placement selects any sensors at budgets up to {budget_hi:g}"
         )
-    best = model_hi
-    best_gap = abs(count_of(model_hi) - target_per_core)
+    best, best_budget = sel_hi, budget_hi
+    best_gap = abs(count_of(sel_hi) - target_per_core)
 
     lo, hi = budget_lo, budget_hi
     probes = 0
@@ -246,19 +249,21 @@ def fit_for_sensor_count(
             break
         attempts += 1
         mid = float(np.sqrt(lo * hi))
-        model = try_fit(mid)
-        if model is None:
+        selections = try_select(mid)
+        if selections is None:
             # Budget too small to select anything: move the floor up.
-            # A failed probe fits no model, so it does not consume the
+            # A failed probe selects nothing, so it does not consume the
             # probe budget.
             lo = mid
             continue
         probes += 1
-        gap = abs(count_of(model) - target_per_core)
+        gap = abs(count_of(selections) - target_per_core)
         if gap < best_gap:
-            best, best_gap = model, gap
-        if count_of(model) >= target_per_core:
+            best, best_budget, best_gap = selections, mid, gap
+        if count_of(selections) >= target_per_core:
             hi = mid
         else:
             lo = mid
-    return best
+    # Probes stop at the selection; only the returned placement pays
+    # for the OLS readout.
+    return engine.placement(best, best_budget)

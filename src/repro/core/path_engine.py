@@ -55,7 +55,11 @@ from repro.core.pipeline import (
     _scope_specs,
 )
 from repro.core.predictor import VoltagePredictor
-from repro.core.selection import prepare_stats, threshold_selection
+from repro.core.selection import (
+    SelectionResult,
+    prepare_stats,
+    threshold_selection,
+)
 from repro.voltage.dataset import VoltageDataset
 
 __all__ = ["LambdaPathEngine"]
@@ -104,8 +108,9 @@ class LambdaPathEngine:
     -----
     The engine is cheap to construct (one standardization + one Gram
     per scope) and amortizes those costs over every subsequent
-    :meth:`fit` / :meth:`fit_path` call — budget bisections in
-    :func:`~repro.core.lambda_sweep.fit_for_sensor_count` and sweeps in
+    :meth:`fit` / :meth:`fit_path` / :meth:`select` call — budget
+    bisections in :func:`~repro.core.lambda_sweep.fit_for_sensor_count`
+    (probing with :meth:`select`) and sweeps in
     :func:`~repro.core.lambda_sweep.sweep_lambda` both ride on it.
     """
 
@@ -184,8 +189,16 @@ class LambdaPathEngine:
             parent.merge_registry(child)
         return out
 
-    def _fit_scope(self, state: _ScopeState, budget: float) -> ScopeModel:
-        """One constrained solve + threshold + OLS refit, cache-backed."""
+    def _each_scope(self, fn) -> list:
+        """``fn`` over every scope, on the thread pool when ``n_jobs > 1``."""
+        if self.n_jobs > 1 and len(self._scopes) > 1:
+            return self._map_threaded(fn, self._scopes)
+        return [fn(state) for state in self._scopes]
+
+    def _select_scope(
+        self, state: _ScopeState, budget: float
+    ) -> SelectionResult:
+        """One constrained solve + threshold, cache-backed."""
         cfg = self.base_config
         with span(
             "fit.scope",
@@ -212,15 +225,21 @@ class LambdaPathEngine:
             # for the next budget.
             state.warm = WarmState(coef=gl.coef, penalty=gl.penalty)
             selection = threshold_selection(gl, budget, cfg.threshold)
-            predictor = VoltagePredictor.fit(
-                state.X,
-                state.F,
-                selected=selection.selected,
-                sensor_nodes=self.dataset.candidate_nodes[
-                    state.candidate_cols[selection.selected]
-                ],
-            )
             sp.set_attribute("n_selected", selection.n_selected)
+        return selection
+
+    def _readout(
+        self, state: _ScopeState, selection: SelectionResult
+    ) -> ScopeModel:
+        """The OLS readout (Eq. (17)) on one scope's selected sensors."""
+        predictor = VoltagePredictor.fit(
+            state.X,
+            state.F,
+            selected=selection.selected,
+            sensor_nodes=self.dataset.candidate_nodes[
+                state.candidate_cols[selection.selected]
+            ],
+        )
         return ScopeModel(
             core_index=state.core_index,
             candidate_cols=state.candidate_cols,
@@ -228,6 +247,9 @@ class LambdaPathEngine:
             selection=selection,
             predictor=predictor,
         )
+
+    def _fit_scope(self, state: _ScopeState, budget: float) -> ScopeModel:
+        return self._readout(state, self._select_scope(state, budget))
 
     def _assemble(
         self, scopes: List[ScopeModel], budget: float
@@ -241,13 +263,46 @@ class LambdaPathEngine:
     def fit(self, budget: float) -> PlacementModel:
         """Fit the placement at one budget, reusing all cached state."""
         with span("path.fit", budget=float(budget)) as sp:
-            if self.n_jobs > 1 and len(self._scopes) > 1:
-                scopes = self._map_threaded(
-                    lambda st: self._fit_scope(st, budget), self._scopes
-                )
-            else:
-                scopes = [self._fit_scope(st, budget) for st in self._scopes]
+            scopes = self._each_scope(lambda st: self._fit_scope(st, budget))
             sp.set_attribute("n_sensors", sum(s.n_sensors for s in scopes))
+        return self._assemble(scopes, budget)
+
+    def select(self, budget: float) -> List[SelectionResult]:
+        """Per-scope sensor selections at one budget, without readouts.
+
+        The same solves (and warm-state updates) as :meth:`fit`, minus
+        the OLS refit — what a search over budgets needs to read off
+        sensor counts.  Pass the chosen budget's selections to
+        :meth:`placement` for the model.  Raises ``ValueError`` when
+        the budget is too small to select any sensor in some scope.
+        """
+        with span("path.fit", budget=float(budget)) as sp:
+            selections = self._each_scope(
+                lambda st: self._select_scope(st, budget)
+            )
+            sp.set_attribute(
+                "n_sensors", sum(s.n_selected for s in selections)
+            )
+        return selections
+
+    def placement(
+        self, selections: Sequence[SelectionResult], budget: float
+    ) -> PlacementModel:
+        """The placement model for per-scope ``selections`` at ``budget``.
+
+        Fits each scope's OLS readout; with the selections
+        :meth:`select` returned for ``budget``, the result is
+        bit-identical to :meth:`fit` at that budget.
+        """
+        if len(selections) != len(self._scopes):
+            raise ValueError(
+                f"expected {len(self._scopes)} scope selections, "
+                f"got {len(selections)}"
+            )
+        scopes = [
+            self._readout(state, selection)
+            for state, selection in zip(self._scopes, selections)
+        ]
         return self._assemble(scopes, budget)
 
     def fit_path(self, budgets: Sequence[float]) -> List[PlacementModel]:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.group_lasso as gl
+from repro.obs import MetricsRegistry, use_registry
 from repro.utils import ckernels
 from repro.core.group_lasso import (
     GroupLassoResult,
@@ -543,3 +544,159 @@ class TestCompiledFista:
         result = group_lasso_penalized(Z, G, mu=50.0)
         assert len(calls) == 1
         assert result.active_groups().tolist() == [3, 11, 27]
+
+
+def _dense_newton_step(Saa, c, U, Gt, lam):
+    """Reference for ``gl._newton_step``: assemble the damped Hessian
+    ``kron(S_aa, I_K) + blockdiag_j c_j (I_K - u_j u_j^T) + lam I``
+    and solve it directly."""
+    a, k = U.shape
+    eye_k = np.eye(k)
+    H = np.kron(Saa, eye_k)
+    for j in range(a):
+        sl = slice(j * k, (j + 1) * k)
+        H[sl, sl] += c[j] * (eye_k - np.outer(U[j], U[j]))
+    H[np.diag_indices_from(H)] += lam
+    return np.linalg.solve(H, Gt.reshape(-1)).reshape(a, k)
+
+
+def _step_problem(seed, a, k, collinear=False, n=200):
+    rng = np.random.default_rng(seed)
+    if collinear:
+        # Every column a 1% perturbation of one shared latent column.
+        Z = rng.standard_normal((n, 1)) + 1e-2 * rng.standard_normal((n, a))
+    else:
+        Z = rng.standard_normal((n, a))
+    Saa = Z.T @ Z
+    B = rng.standard_normal((a, k))
+    U = B / np.linalg.norm(B, axis=1, keepdims=True)
+    # c_j = mu / ||b_j|| from 1% to 100x the mean Gram diagonal: small
+    # groups make c dominate S_jj.
+    c = np.mean(np.diag(Saa)) * 10.0 ** rng.uniform(-2.0, 2.0, a)
+    Gt = rng.standard_normal((a, k))
+    return Saa, c, U, Gt
+
+
+def _kkt_clean(S, A, B, mu, rtol=1e-6):
+    grad = B @ S - A.T
+    norms = np.linalg.norm(B, axis=0)
+    for m in range(B.shape[1]):
+        if norms[m] > 0:
+            target = -mu * B[:, m] / norms[m]
+            if np.linalg.norm(grad[:, m] - target) > rtol * max(1.0, mu):
+                return False
+        elif np.linalg.norm(grad[:, m]) > mu * (1.0 + 1e-6):
+            return False
+    return True
+
+
+class TestStructuredNewtonStep:
+    """The Kronecker + Woodbury step equals the dense Newton solve."""
+
+    @pytest.mark.parametrize("a", [1, 2, 7, 28])
+    @pytest.mark.parametrize("k", [1, 2, 30])
+    @pytest.mark.parametrize("collinear", [False, True])
+    @pytest.mark.parametrize("lam_scale", [0.0, 1e-10, 1e-2, 1e3])
+    def test_matches_dense_solve(self, a, k, collinear, lam_scale):
+        Saa, c, U, Gt = _step_problem(a * 100 + k, a, k, collinear)
+        lam = lam_scale * float(np.mean(np.diag(Saa)))
+        step = gl._newton_step(Saa, c, U, Gt, lam)
+        ref = _dense_newton_step(Saa, c, U, Gt, lam)
+        assert step.shape == (a, k)
+        assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_indefinite_system_raises(self):
+        # A negative damping large enough to make H indefinite must
+        # surface as a factorization failure, never a silent step.
+        Saa, c, U, Gt = _step_problem(0, 4, 3)
+        lam = -10.0 * float(np.max(np.linalg.eigvalsh(Saa)) + c.max())
+        with pytest.raises(np.linalg.LinAlgError):
+            gl._newton_step(Saa, c, U, Gt, lam)
+
+    def test_no_dense_hessian_in_refiner(self, monkeypatch):
+        # The refiner must never assemble the (aK)x(aK) Hessian.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.kron called")
+
+        Z, G, _ = sparse_problem(seed=2)
+        stats = SufficientStats.from_arrays(Z, G)
+        start = group_lasso_penalized(Z, G, mu=40.0, tol=1e-4).coef
+        monkeypatch.setattr(gl.np, "kron", forbidden)
+        refined = gl._active_refine(
+            stats.S, stats.A, stats.diag_S, 40.0, start
+        )
+        assert refined is not None
+
+
+class TestActiveRefine:
+    """``_active_refine`` returns a KKT-clean solution with the dense
+    reference's support, or ``None`` — never a non-finite array."""
+
+    @staticmethod
+    def _refine_both(Z, G, mu, start, monkeypatch):
+        stats = SufficientStats.from_arrays(Z, G)
+        args = (stats.S, stats.A, stats.diag_S, mu, start)
+        structured = gl._active_refine(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(gl, "_newton_step", _dense_newton_step)
+            dense = gl._active_refine(*args)
+        return stats, structured, dense
+
+    def _check(self, stats, structured, dense, mu):
+        if structured is None:
+            return
+        assert np.all(np.isfinite(structured))
+        assert _kkt_clean(stats.S, stats.A, structured, mu)
+        if dense is not None:
+            support = np.linalg.norm(structured, axis=0) > 0
+            assert support.tolist() == (
+                np.linalg.norm(dense, axis=0) > 0
+            ).tolist()
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("mu_frac", [0.05, 0.3, 0.8])
+    def test_sparse_problem(self, k, mu_frac, monkeypatch):
+        Z, G, _ = sparse_problem(seed=k, k=k)
+        mu = mu_frac * float(SufficientStats.from_arrays(Z, G).mu_max)
+        start = group_lasso_penalized(Z, G, mu=mu, tol=1e-4).coef
+        stats, structured, dense = self._refine_both(
+            Z, G, mu, start, monkeypatch
+        )
+        assert structured is not None
+        self._check(stats, structured, dense, mu)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_correlated_problem(self, k, monkeypatch):
+        Z, G = correlated_problem(seed=k, k=k)
+        mu = 0.2 * float(SufficientStats.from_arrays(Z, G).mu_max)
+        start = group_lasso_penalized(Z, G, mu=mu, tol=1e-4).coef
+        stats, structured, dense = self._refine_both(
+            Z, G, mu, start, monkeypatch
+        )
+        self._check(stats, structured, dense, mu)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_duplicate_candidate_columns(self, k, monkeypatch):
+        # Two identical candidates make S_aa exactly singular; the
+        # start puts weight on both copies.
+        Z, G, _ = sparse_problem(seed=7, k=k, m=12, active=(2, 5))
+        Z = np.column_stack([Z, Z[:, 2]])
+        mu = 0.3 * float(SufficientStats.from_arrays(Z, G).mu_max)
+        start = group_lasso_penalized(Z, G, mu=mu, tol=1e-4).coef
+        start[:, -1] = 0.5 * start[:, 2]
+        start[:, 2] *= 0.5
+        stats, structured, dense = self._refine_both(
+            Z, G, mu, start, monkeypatch
+        )
+        self._check(stats, structured, dense, mu)
+
+
+class TestCertifyTelemetry:
+    def test_certify_timer_and_newton_counter(self):
+        Z, G = correlated_problem(seed=5)
+        with use_registry(MetricsRegistry()) as registry:
+            group_lasso_constrained(
+                Z, G, budget=2.0, rtol=1e-2, probe_tol=1e-5
+            )
+        assert registry.timer("group_lasso.certify").count > 0
+        assert registry.counter("group_lasso.newton_steps").value > 0

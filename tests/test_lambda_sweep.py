@@ -8,6 +8,7 @@ import pytest
 import repro.core.lambda_sweep as lambda_sweep
 from repro.core.lambda_sweep import fit_for_sensor_count, sweep_lambda
 from repro.core.pipeline import PipelineConfig
+from repro.core.predictor import VoltagePredictor
 from tests.conftest import make_synthetic_dataset
 
 
@@ -99,6 +100,36 @@ class TestFitForSensorCount:
         large = fit_for_sensor_count(ds, target_per_core=6.0)
         assert large.n_sensors > small.n_sensors
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_one_readout_fit_per_scope(self, monkeypatch, n_jobs):
+        # Probes stop at the selection: only the returned placement
+        # fits its OLS readouts, one per scope.
+        ds = make_synthetic_dataset()
+        calls = []
+        original = VoltagePredictor.fit.__func__
+
+        def spy(cls, *args, **kwargs):
+            calls.append(1)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(VoltagePredictor, "fit", classmethod(spy))
+        base = PipelineConfig(budget=1.0, n_jobs=n_jobs)
+        model = fit_for_sensor_count(ds, target_per_core=2.0, base_config=base)
+        assert len(calls) == len(model.scopes) == len(ds.core_ids)
+
+    def test_readout_matches_direct_fit_bitwise(self):
+        ds = make_synthetic_dataset(seed=5)
+        model = fit_for_sensor_count(ds, target_per_core=2.0)
+        for scope in model.scopes:
+            direct = VoltagePredictor.fit(
+                ds.X[:, scope.candidate_cols],
+                ds.F[:, scope.block_cols],
+                selected=scope.selection.selected,
+            )
+            got = scope.predictor.model
+            assert np.array_equal(got.coef, direct.model.coef)
+            assert np.array_equal(got.intercept, direct.model.intercept)
+
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             fit_for_sensor_count(make_synthetic_dataset(), target_per_core=0.0)
@@ -137,7 +168,7 @@ class TestFitForSensorCount:
             def __init__(self, dataset, config):
                 pass
 
-            def fit(self, budget):
+            def select(self, budget):
                 fits.append(budget)
                 if budget >= 0.0576:
                     n = 9
@@ -145,6 +176,10 @@ class TestFitForSensorCount:
                     n = 4
                 else:
                     raise ValueError("no sensor selected")
+                return [SimpleNamespace(n_selected=n)]
+
+            def placement(self, selections, budget):
+                n = sum(s.n_selected for s in selections)
                 return SimpleNamespace(n_sensors=n, budget=budget)
 
         monkeypatch.setattr(lambda_sweep, "LambdaPathEngine", StubEngine)

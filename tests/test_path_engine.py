@@ -30,6 +30,29 @@ class TestEngineVsPipeline:
             via_engine.predict(dataset.X), direct.predict(dataset.X)
         )
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_select_then_placement_matches_fit(self, n_jobs):
+        dataset = make_synthetic_dataset(seed=4)
+        config = PipelineConfig(budget=1.0, n_jobs=n_jobs)
+        fitted = LambdaPathEngine(dataset, config).fit(1.0)
+        engine = LambdaPathEngine(dataset, config)
+        selections = engine.select(1.0)
+        assert [s.n_selected for s in selections] == [
+            scope.n_sensors for scope in fitted.scopes
+        ]
+        model = engine.placement(selections, 1.0)
+        assert selections_of(model) == selections_of(fitted)
+        assert model.config.budget == fitted.config.budget
+        for got, want in zip(model.scopes, fitted.scopes):
+            assert np.array_equal(
+                got.predictor.model.coef, want.predictor.model.coef
+            )
+            assert np.array_equal(
+                got.predictor.model.intercept, want.predictor.model.intercept
+            )
+        with pytest.raises(ValueError, match="scope selections"):
+            engine.placement(selections[:1], 1.0)
+
     def test_fit_path_matches_independent_fits(self):
         dataset = make_synthetic_dataset(seed=3)
         engine = LambdaPathEngine(dataset, PipelineConfig(budget=BUDGETS[0]))

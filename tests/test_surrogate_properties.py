@@ -13,6 +13,7 @@ Three families of properties:
   predictions are bit-identical under a fixed seed.
 """
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -57,28 +58,30 @@ def _held_out_split(seed, n_scenarios, n_blocks, noise, hetero):
 
 
 class TestCoverageProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 10**6),
-        alpha=st.sampled_from([0.05, 0.1, 0.2, 0.3]),
-        noise=st.floats(0.01, 0.1),
-        hetero=st.booleans(),
-    )
-    def test_nominal_coverage_on_held_out_split(
-        self, seed, alpha, noise, hetero
-    ):
+    def test_nominal_coverage_on_held_out_split(self):
+        # The floor below is a per-draw bound: a 4-sigma binomial
+        # fluctuation of one held-out sample.  A search over ~10^6 seeds
+        # maximizes the deficit instead and eventually finds a draw
+        # beyond it (the calibration quantile is itself random), so the
+        # draws are pinned: the first ten seeds, every miscoverage
+        # level, both ends of the noise range, both noise profiles.
         n_blocks = 4
-        cal_rows, test_rows = _held_out_split(
-            seed, n_scenarios=300, n_blocks=n_blocks,
-            noise=noise, hetero=hetero,
-        )
-        calibration = conformal_calibrate(*cal_rows, n_blocks, alpha=alpha)
-        cov = empirical_coverage(calibration, *test_rows)
-        # Marginal guarantee is >= 1 - alpha in expectation; allow a
-        # 4-sigma binomial fluctuation on the held-out sample.
-        n_test = cov["n_rows"]
-        slack = 4.0 * np.sqrt(alpha * (1.0 - alpha) / n_test)
-        assert cov["nominal_coverage"] >= 1.0 - alpha - slack
+        for seed, alpha, noise, hetero in itertools.product(
+            range(10), (0.05, 0.1, 0.2, 0.3), (0.01, 0.1), (False, True)
+        ):
+            cal_rows, test_rows = _held_out_split(
+                seed, n_scenarios=300, n_blocks=n_blocks,
+                noise=noise, hetero=hetero,
+            )
+            calibration = conformal_calibrate(
+                *cal_rows, n_blocks, alpha=alpha
+            )
+            cov = empirical_coverage(calibration, *test_rows)
+            n_test = cov["n_rows"]
+            slack = 4.0 * np.sqrt(alpha * (1.0 - alpha) / n_test)
+            assert cov["nominal_coverage"] >= 1.0 - alpha - slack, (
+                seed, alpha, noise, hetero
+            )
 
     @settings(max_examples=25, deadline=None)
     @given(
