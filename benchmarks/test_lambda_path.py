@@ -2,8 +2,8 @@
 
 Times one full Table 1-style sweep through the shared-Gram,
 warm-started :class:`~repro.core.path_engine.LambdaPathEngine` and one
-through the pre-engine sequential path, and checks they select the same
-sensors.  ``benchmarks/run_bench.py`` produces the committed
+as cold per-budget ``fit_placement`` calls, and checks they select the
+same sensors.  ``benchmarks/run_bench.py`` produces the committed
 ``BENCH_sweep.json`` from the same configuration.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
+from benchmarks.run_bench import SWEEP_RNG, cold_sweep
 from repro.core.lambda_sweep import sweep_lambda
 from repro.core.pipeline import PipelineConfig
 
@@ -26,20 +27,7 @@ def _engine_sweep(dataset):
         dataset,
         BUDGETS,
         base_config=PipelineConfig(budget=BUDGETS[0]),
-        rng=0,
-        warm_start=True,
-    )
-
-
-def _baseline_sweep(dataset):
-    return sweep_lambda(
-        dataset,
-        BUDGETS,
-        base_config=PipelineConfig(
-            budget=BUDGETS[0], reuse_gram=False, probe_tol=None
-        ),
-        rng=0,
-        warm_start=False,
+        rng=SWEEP_RNG,
     )
 
 
@@ -57,7 +45,7 @@ def test_engine_sweep(benchmark, bench_data):
 
 @pytest.mark.benchmark(group="lambda-path")
 def test_baseline_sweep_matches_engine(benchmark, bench_data):
-    baseline = run_once(benchmark, _baseline_sweep, bench_data.train)
+    baseline = run_once(benchmark, cold_sweep, bench_data.train, BUDGETS)
     engine = _engine_sweep(bench_data.train)
     for base_point, engine_point in zip(baseline, engine):
         base_cols = base_point.model.sensor_candidate_cols.tolist()

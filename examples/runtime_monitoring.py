@@ -116,8 +116,7 @@ def main() -> None:
     server = obs.MetricsServer(registry, port=0).start()
     print(f"\nlive fleet metrics at {server.url}/metrics")
     fleet = FleetMonitor(
-        model, threshold, debounce=2, n_streams=n_streams, policy=policy,
-        shard="fleet-demo",
+        model, threshold, debounce=2, n_streams=n_streams, policy=policy
     )
     fleet.run_batch(streams)
 

@@ -128,6 +128,9 @@ class SufficientStats:
     Z:
         The feature matrix, retained only in lazy mode so sub-Grams and
         exact dual residuals can be computed in O(N·m²) / O(N·M·K).
+
+    The OLS slack-check solution (:meth:`ols`) needs the raw ``(Z, G)``
+    once; after that first call the statistics alone serve every solve.
     """
 
     S: Optional[np.ndarray]
@@ -139,6 +142,7 @@ class SufficientStats:
     _lipschitz: Optional[float] = None
     _ols_coef: Optional[np.ndarray] = None
     _ols_norm_sum: float = 0.0
+    _ols_objective: float = 0.0
 
     @classmethod
     def from_arrays(
@@ -264,20 +268,39 @@ class SufficientStats:
             return self.A - self.S[:, active] @ Bat
         return self.A - self.Z.T @ (self.Z[:, active] @ Bat)
 
-    def ols(self, Z: np.ndarray, G: np.ndarray) -> Tuple[np.ndarray, float]:
-        """Cached unpenalized least-squares solution and its norm sum.
+    def ols(
+        self, Z: Optional[np.ndarray] = None, G: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, float, float]:
+        """Cached unpenalized least-squares solution, norm sum, objective.
 
-        ``Z`` and ``G`` must be the arrays the statistics were built
-        from; lstsq on the raw data is better conditioned than solving
-        the normal equations from ``S`` and ``A``.
+        The first call computes them and needs ``Z`` and ``G``, the
+        arrays the statistics were built from (lstsq on the raw data is
+        better conditioned than solving the normal equations from ``S``
+        and ``A``); later calls read the cache and may omit them.
         """
         if self._ols_coef is None:
+            if Z is None or G is None:
+                raise ValueError(
+                    "the OLS solution is not cached yet; pass Z and G"
+                )
+            Z = np.asarray(Z, dtype=float)
+            G = np.asarray(G, dtype=float)
             coef_t, *_ = np.linalg.lstsq(Z, G, rcond=None)
-            self._ols_coef = coef_t.T
-            self._ols_norm_sum = float(
-                np.linalg.norm(self._ols_coef, axis=0).sum()
-            )
-        return self._ols_coef, self._ols_norm_sum
+            coef = coef_t.T
+            if self.S is None:
+                # No dense Gram to feed _objective; the raw residual is
+                # O(N·M·K) and exact.
+                resid = G - Z @ coef.T
+                objective = 0.5 * float(np.sum(resid * resid))
+            else:
+                objective = _objective(
+                    coef, self.S, self.A, self.gram_G, 0.0,
+                    np.arange(self.n_features),
+                )
+            self._ols_norm_sum = float(np.linalg.norm(coef, axis=0).sum())
+            self._ols_objective = objective
+            self._ols_coef = coef
+        return self._ols_coef, self._ols_norm_sum, self._ols_objective
 
 
 @dataclass
@@ -1082,8 +1105,8 @@ def group_lasso_penalized(
 
 
 def group_lasso_constrained(
-    Z: np.ndarray,
-    G: np.ndarray,
+    Z: Optional[np.ndarray],
+    G: Optional[np.ndarray],
     budget: float,
     rtol: float = 1e-2,
     max_bisections: int = 40,
@@ -1092,7 +1115,6 @@ def group_lasso_constrained(
     method: str = "fista",
     stats: Optional[SufficientStats] = None,
     warm: Optional[WarmState] = None,
-    reuse_gram: bool = True,
     probe_tol: Optional[float] = None,
     screen: "bool | StrongRuleScreener | None" = None,
 ) -> GroupLassoResult:
@@ -1103,11 +1125,15 @@ def group_lasso_constrained(
     ----------
     Z, G:
         Normalized data matrices as in :func:`group_lasso_penalized`.
+        Both may be ``None`` when ``stats`` is given and already holds
+        its OLS solution (:meth:`SufficientStats.ols`, which
+        :func:`~repro.core.selection.prepare_stats` computes); given
+        ``stats``, they are only read to compute that solution.
     budget:
         The paper's hyper-parameter ``lambda`` — the total group-norm
         budget.  Larger budgets admit more sensors.
     rtol:
-        Relative tolerance on meeting the budget.
+        Relative tolerance (>= 0) on meeting the budget.
     max_bisections:
         Maximum bisection steps on the dual penalty.
     solver_max_iter, solver_tol, method:
@@ -1115,24 +1141,21 @@ def group_lasso_constrained(
     stats:
         Optional precomputed :class:`SufficientStats` for ``(Z, G)``.
         When given, the whole path-following + bisection runs without
-        recomputing a single Gram matrix.
+        recomputing a single Gram matrix, and ``Z``/``G`` are not
+        re-validated.
     warm:
         Optional :class:`WarmState` from a constrained solve on the
         same ``(Z, G)`` at a nearby budget; the dual-penalty path
         starts from its penalty instead of ``mu_max`` and every solve
         is seeded with its coefficients.  Counted in the
         ``sweep.warm_start_hits`` metric.
-    reuse_gram:
-        When ``False``, every inner penalized solve recomputes its own
-        Gram statistics (the pre-path-engine behaviour); kept as a
-        benchmark baseline and for bit-identity tests.
     probe_tol:
-        Optional looser tolerance for the *probe* solves that only
-        locate the dual-penalty bracket (their ``norm_sum`` needs
+        Optional looser tolerance (> 0) for the *probe* solves that
+        only locate the dual-penalty bracket (their ``norm_sum`` needs
         ``rtol`` accuracy, not ``solver_tol``).  The returned solution
         is always re-polished at ``solver_tol`` and re-checked against
         the budget.  ``None`` (default) runs every solve at
-        ``solver_tol`` — the pre-path-engine behaviour.
+        ``solver_tol``.
     screen:
         Strong-rule group screening (see :class:`StrongRuleScreener`).
         ``None``/``False`` (default) disables it — the unscreened path
@@ -1169,15 +1192,15 @@ def group_lasso_constrained(
     if not registry.enabled:
         return _constrained(
             Z, G, budget, rtol, max_bisections, solver_max_iter, solver_tol,
-            method, stats=stats, warm=warm, reuse_gram=reuse_gram,
-            probe_tol=probe_tol, screen=screen,
+            method, stats=stats, warm=warm, probe_tol=probe_tol,
+            screen=screen,
         )
     with span("fit.group_lasso", budget=float(budget)) as sp:
         iters_before = registry.counter("group_lasso.iterations").value
         result = _constrained(
             Z, G, budget, rtol, max_bisections, solver_max_iter, solver_tol,
-            method, stats=stats, warm=warm, reuse_gram=reuse_gram,
-            probe_tol=probe_tol, screen=screen,
+            method, stats=stats, warm=warm, probe_tol=probe_tol,
+            screen=screen,
         )
         total_iterations = (
             registry.counter("group_lasso.iterations").value - iters_before
@@ -1199,8 +1222,8 @@ def group_lasso_constrained(
 
 
 def _constrained(
-    Z: np.ndarray,
-    G: np.ndarray,
+    Z: Optional[np.ndarray],
+    G: Optional[np.ndarray],
     budget: float,
     rtol: float,
     max_bisections: int,
@@ -1209,15 +1232,17 @@ def _constrained(
     method: str,
     stats: Optional[SufficientStats] = None,
     warm: Optional[WarmState] = None,
-    reuse_gram: bool = True,
     probe_tol: Optional[float] = None,
     screen: "bool | StrongRuleScreener | None" = None,
 ) -> GroupLassoResult:
     """The actual constrained solve (see :func:`group_lasso_constrained`)."""
     check_positive(budget, "budget")
-    Z = check_matrix(Z, "Z")
-    G = check_matrix(G, "G", n_rows=Z.shape[0])
+    check_non_negative(rtol, "rtol")
+    if probe_tol is not None:
+        check_positive(probe_tol, "probe_tol")
     if stats is None:
+        if Z is None or G is None:
+            raise ValueError("Z and G are required when stats is not given")
         stats = SufficientStats.from_arrays(Z, G, lazy=bool(screen))
     screener: Optional[StrongRuleScreener] = None
     if isinstance(screen, StrongRuleScreener):
@@ -1235,7 +1260,6 @@ def _constrained(
         raise ValueError(
             "lazy SufficientStats require screening; pass screen=True"
         )
-    inner_stats = stats if reuse_gram else None
     n_responses, n_features = stats.n_responses, stats.n_features
     registry = get_registry()
 
@@ -1244,23 +1268,13 @@ def _constrained(
     # lstsq handles the highly correlated candidate columns exactly,
     # where coordinate descent at mu ~ 0 would crawl.  The solution is
     # cached on the stats, so bisections over budgets pay for it once.
-    ols_coef, ols_norm_sum = stats.ols(Z, G)
+    ols_coef, ols_norm_sum, ols_objective = stats.ols(Z, G)
     if ols_norm_sum <= budget * (1.0 + rtol):
-        if stats.is_lazy:
-            # No dense Gram to feed _objective; the raw residual is
-            # O(N·M·K) and exact.
-            resid = G - Z @ ols_coef.T
-            objective = 0.5 * float(np.sum(resid * resid))
-        else:
-            active = np.arange(n_features)
-            objective = _objective(
-                ols_coef, stats.S, stats.A, stats.gram_G, 0.0, active
-            )
         return GroupLassoResult(
             coef=ols_coef.copy(),
             penalty=0.0,
             budget=budget,
-            objective=objective,
+            objective=ols_objective,
             n_iterations=0,
             converged=True,
         )
@@ -1286,10 +1300,9 @@ def _constrained(
         mu: float, warm_coef: np.ndarray, tol: Optional[float] = None
     ) -> GroupLassoResult:
         return group_lasso_penalized(
-            Z, G, mu, max_iter=solver_max_iter,
+            None, None, mu, max_iter=solver_max_iter,
             tol=bracket_tol if tol is None else tol,
-            warm_start=warm_coef, method=method,
-            stats=stats if screener is not None else inner_stats,
+            warm_start=warm_coef, method=method, stats=stats,
             screen=screener,
         )
 

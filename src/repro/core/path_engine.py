@@ -19,18 +19,17 @@ path-following and bisection loops), and starts from zero coefficients.
   coefficients and dual penalty, so the bracketing path starts one or
   two solves from the answer (``sweep.warm_start_hits`` counts the
   seeds used).
-* **Opt-in parallelism** — with ``n_jobs > 1``, independent scopes run
-  on a thread pool (`concurrent.futures`); BLAS releases the GIL, so
-  the matmul-heavy solves overlap without copying the dataset.  In
-  :meth:`fit_path`, each worker owns one scope's *entire* budget path,
-  so scope-level parallelism and warm starts compose instead of
-  competing.
+* **Opt-in parallelism** — with ``n_jobs > 1`` on the config,
+  independent scopes run on a thread pool (`concurrent.futures`); BLAS
+  releases the GIL, so the matmul-heavy solves overlap without copying
+  the dataset.  In :meth:`fit_path`, each worker owns one scope's
+  *entire* budget path, so scope-level parallelism and warm starts
+  compose instead of competing.
 
-The engine produces the same :class:`~repro.core.pipeline.PlacementModel`
-objects as :func:`~repro.core.pipeline.fit_placement` — selected
-sensor sets are identical (cached statistics are bit-identical to the
-uncached path; warm starts change only the iteration count, not the
-solution beyond solver tolerance).
+:func:`~repro.core.pipeline.fit_placement` is one :meth:`fit` on a
+fresh engine.  Warm starts change only the iteration count, not the
+selected sets: a warm-started path selects the same sensors as
+per-budget ``fit_placement`` calls.
 """
 
 from __future__ import annotations
@@ -67,15 +66,17 @@ __all__ = ["LambdaPathEngine"]
 
 @dataclass
 class _ScopeState:
-    """Cached per-scope problem data plus the rolling warm state."""
+    """Cached per-scope statistics plus the rolling warm state.
+
+    Dense state holds no per-sample array (the statistics are M×M and
+    M×K; lazy ones keep the standardized candidates screening needs):
+    the readout slices the dataset when it runs, so a many-scope engine
+    costs little more memory than one scope's fit.
+    """
 
     core_index: int
     candidate_cols: np.ndarray
     block_cols: np.ndarray
-    X: np.ndarray
-    F: np.ndarray
-    z: np.ndarray
-    g: np.ndarray
     stats: SufficientStats
     warm: Optional[WarmState] = None
     screener: Optional[StrongRuleScreener] = None
@@ -90,19 +91,15 @@ class LambdaPathEngine:
         Training data; scope caches are built from it once.
     base_config:
         Pipeline template; its ``budget`` is overridden per fit.
-        Defaults to per-core fitting with the paper's T.
-    n_jobs:
-        Worker threads for independent scopes (defaults to
-        ``base_config.n_jobs``).
-    screen:
-        Strong-rule candidate screening (defaults to
-        ``base_config.screen``).  When on, each scope keeps *lazy*
-        sufficient statistics — the dense ``M×M`` Gram is never built —
-        plus one :class:`~repro.core.group_lasso.StrongRuleScreener`
-        whose sequential state (the previous solve's dual residuals)
-        rides along the budget path exactly like the warm starts.
-        Every screened solve is KKT-safeguarded, so selected sets
-        match the unscreened engine.
+        Defaults to per-core fitting with the paper's T.  Its
+        ``n_jobs`` sets the worker threads for independent scopes.
+        With ``screen=True``, each scope keeps *lazy* sufficient
+        statistics — the dense ``M×M`` Gram is never built — plus one
+        :class:`~repro.core.group_lasso.StrongRuleScreener` whose
+        sequential state (the previous solve's dual residuals) rides
+        along the budget path exactly like the warm starts.  Every
+        screened solve is KKT-safeguarded, so selected sets match the
+        unscreened engine.
 
     Notes
     -----
@@ -118,17 +115,13 @@ class LambdaPathEngine:
         self,
         dataset: VoltageDataset,
         base_config: Optional[PipelineConfig] = None,
-        n_jobs: Optional[int] = None,
-        screen: Optional[bool] = None,
     ) -> None:
         if base_config is None:
             base_config = PipelineConfig(budget=1.0)
         self.dataset = dataset
         self.base_config = base_config
-        self.n_jobs = base_config.n_jobs if n_jobs is None else max(1, int(n_jobs))
-        self.screen = bool(
-            getattr(base_config, "screen", False) if screen is None else screen
-        )
+        self.n_jobs = base_config.n_jobs
+        self.screen = base_config.screen
         with span("path.prepare", n_jobs=self.n_jobs):
             self._scopes = [
                 self._prepare_scope(core, cand, blocks)
@@ -141,17 +134,15 @@ class LambdaPathEngine:
         candidate_cols: np.ndarray,
         block_cols: np.ndarray,
     ) -> _ScopeState:
-        X = self.dataset.X[:, candidate_cols]
-        F = self.dataset.F[:, block_cols]
-        z, g, stats = prepare_stats(X, F, lazy=self.screen)
+        stats = prepare_stats(
+            self.dataset.X[:, candidate_cols],
+            self.dataset.F[:, block_cols],
+            lazy=self.screen,
+        )[2]
         return _ScopeState(
             core_index=core_index,
             candidate_cols=candidate_cols,
             block_cols=block_cols,
-            X=X,
-            F=F,
-            z=z,
-            g=g,
             stats=stats,
             screener=StrongRuleScreener(stats) if self.screen else None,
         )
@@ -207,8 +198,8 @@ class LambdaPathEngine:
             n_blocks=int(state.block_cols.size),
         ) as sp:
             gl = group_lasso_constrained(
-                state.z,
-                state.g,
+                None,
+                None,
                 budget=budget,
                 rtol=cfg.rtol,
                 solver_max_iter=cfg.solver_max_iter,
@@ -216,7 +207,6 @@ class LambdaPathEngine:
                 method=cfg.method,
                 stats=state.stats,
                 warm=state.warm,
-                reuse_gram=cfg.reuse_gram,
                 probe_tol=cfg.probe_tol,
                 screen=state.screener,
             )
@@ -233,8 +223,8 @@ class LambdaPathEngine:
     ) -> ScopeModel:
         """The OLS readout (Eq. (17)) on one scope's selected sensors."""
         predictor = VoltagePredictor.fit(
-            state.X,
-            state.F,
+            self.dataset.X[:, state.candidate_cols],
+            self.dataset.F[:, state.block_cols],
             selected=selection.selected,
             sensor_nodes=self.dataset.candidate_nodes[
                 state.candidate_cols[selection.selected]

@@ -97,7 +97,9 @@ def prepare_stats(
     :class:`~repro.core.group_lasso.SufficientStats`.  Passing these
     back into :func:`select_sensors` (or the constrained solver) makes
     every solve of a λ path reuse one Gram computation, with
-    bit-identical coefficients.
+    bit-identical coefficients.  The statistics already hold the OLS
+    slack-check solution, so the constrained solver can run on them
+    alone (``Z = G = None``).
 
     With ``lazy=True`` the statistics skip the dense ``M×M`` Gram
     (``S = ZᵀZ``) and retain ``z`` instead; they are only usable with
@@ -108,7 +110,9 @@ def prepare_stats(
     F = check_matrix(F, "F", n_rows=X.shape[0])
     z = Standardizer().fit_transform(X)
     g = Standardizer().fit_transform(F)
-    return z, g, SufficientStats.from_arrays(z, g, lazy=lazy)
+    stats = SufficientStats.from_arrays(z, g, lazy=lazy)
+    stats.ols(z, g)
+    return z, g, stats
 
 
 def threshold_selection(
@@ -149,7 +153,6 @@ def select_sensors(
     method: str = "fista",
     stats: Optional[SufficientStats] = None,
     warm: Optional[WarmState] = None,
-    reuse_gram: bool = True,
     probe_tol: Optional[float] = None,
     screen=None,
 ) -> SelectionResult:
@@ -176,9 +179,6 @@ def select_sensors(
     warm:
         Optional warm-start state from a selection on the same data at
         a nearby budget (:meth:`SelectionResult.warm_state`).
-    reuse_gram:
-        ``False`` restores the one-Gram-per-inner-solve behaviour
-        (benchmark baseline).
     probe_tol:
         Optional looser tolerance for bracket probes inside the
         constrained solve (the result is re-polished at
@@ -217,7 +217,6 @@ def select_sensors(
         method=method,
         stats=stats,
         warm=warm,
-        reuse_gram=reuse_gram,
         probe_tol=probe_tol,
         screen=screen,
     )

@@ -8,7 +8,7 @@ smallest lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 from repro.core.lambda_sweep import SweepPoint, sweep_lambda
@@ -74,13 +74,17 @@ def run_table1(
         Worker threads for independent scopes' λ paths (defaults to
         the config's ``n_jobs``).
     """
+    if n_jobs is not None:
+        base_config = replace(
+            base_config or PipelineConfig(budget=float(budgets[0])),
+            n_jobs=n_jobs,
+        )
     points = sweep_lambda(
         data.train,
         budgets=list(budgets),
         base_config=base_config,
         test_fraction=0.25,
         rng=1,
-        n_jobs=n_jobs,
     )
     eval_errors = [
         mean_relative_error(p.model.predict(data.eval.X), data.eval.F)

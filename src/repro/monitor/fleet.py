@@ -300,13 +300,6 @@ class FleetMonitor:
     on_emergency:
         Optional callback ``(stream_index, event)`` per completed
         episode.
-    shard:
-        Optional shard label for fleet-of-fleets deployments.  When the
-        global registry is enabled, latency timers are mirrored into it
-        under ``monitor.step[<shard>]`` / ``monitor.stream_cycle[<shard>]``
-        and :meth:`finish` emits an ``obs.worker`` event carrying this
-        shard's latency snapshot, so run manifests get a per-shard
-        section.
 
     Notes
     -----
@@ -323,7 +316,6 @@ class FleetMonitor:
         n_streams: int = 1,
         policy: Optional[FaultPolicy] = None,
         on_emergency: Optional[Callable[[int, EmergencyEvent], None]] = None,
-        shard: Optional[str] = None,
     ) -> None:
         check_positive(threshold, "threshold")
         check_integer(debounce, "debounce", minimum=1)
@@ -336,7 +328,6 @@ class FleetMonitor:
         self.n_streams = n_streams
         self.policy = policy
         self.on_emergency = on_emergency
-        self.shard = shard
 
         self._base = CompiledPredictor.from_model(model)
         n_sensors = self._base.n_sensors
@@ -366,10 +357,6 @@ class FleetMonitor:
         self._compiled: List[Optional[CompiledPredictor]] = [None] * s
 
         self._latency = Timer("monitor.step")
-
-    def _metric(self, name: str) -> str:
-        """Registry instrument name, shard-qualified when sharded."""
-        return name if self.shard is None else f"{name}[{self.shard}]"
 
     # -- introspection ---------------------------------------------------
 
@@ -463,7 +450,7 @@ class FleetMonitor:
         self._latency.record(dt)
         registry = get_registry()
         if registry.enabled:
-            registry.timer(self._metric("monitor.step")).record(dt)
+            registry.timer("monitor.step").record(dt)
         return self._alarm.copy()
 
     def _advance(self, v_min: np.ndarray, blocks: np.ndarray, t: int) -> None:
@@ -588,13 +575,13 @@ class FleetMonitor:
         registry = get_registry()
         if registry.enabled:
             dt = _time.perf_counter() - t0
-            registry.timer(self._metric("monitor.run_batch")).record(dt)
+            registry.timer("monitor.run_batch").record(dt)
             # Amortized per-cycle latency so batch and step serving
             # expose comparable per-stream timing in the registry.
-            registry.timer(self._metric("monitor.stream_cycle")).record(
+            registry.timer("monitor.stream_cycle").record(
                 dt / n_cycles
             )
-            registry.counter(self._metric("monitor.batch_cycles")).inc(
+            registry.counter("monitor.batch_cycles").inc(
                 self.n_streams * n_cycles
             )
         return flags
@@ -968,8 +955,8 @@ class FleetMonitor:
         """Close all open episodes and return fleet-wide statistics.
 
         When the registry is enabled, also emits one ``obs.worker``
-        event carrying this shard's latency snapshot — run manifests
-        collect these into their per-worker/per-shard section.
+        event carrying this fleet's latency snapshot — run manifests
+        collect these into their per-worker section.
         """
         for s in np.nonzero(self._alarm)[0]:
             self._close_episode(int(s), self._cycle - 1)
@@ -979,7 +966,6 @@ class FleetMonitor:
             registry.event(
                 "obs.worker",
                 source="monitor",
-                shard=self.shard,
                 n_streams=stats.n_streams,
                 cycles=stats.cycles,
                 events=stats.events,

@@ -44,7 +44,6 @@ from repro.obs.manifest import (
     build_manifest,
     convergence_stats,
     render_timing_summary,
-    shard_stats,
     worker_stats,
 )
 from repro.obs.metrics import (
@@ -75,7 +74,6 @@ __all__ = [
     "build_manifest",
     "convergence_stats",
     "render_timing_summary",
-    "shard_stats",
     "worker_stats",
     "get_registry",
     "set_registry",

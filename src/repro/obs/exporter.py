@@ -42,11 +42,6 @@ CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _INVALID_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 
-#: ``name[shard]`` — the shard-qualified instrument convention used by
-#: :class:`repro.monitor.fleet.FleetMonitor`; rendered as a ``shard``
-#: label rather than mangled into the metric name.
-_SHARD_SUFFIX = re.compile(r"^(?P<base>.+)\[(?P<shard>[^\]]+)\]$")
-
 
 def _metric_name(namespace: str, name: str) -> str:
     """Sanitize a dotted instrument name into a Prometheus metric name.
@@ -64,27 +59,6 @@ def _metric_name(namespace: str, name: str) -> str:
     return flat
 
 
-def _escape_label_value(value: str) -> str:
-    """Escape a label value per the text exposition format (0.0.4).
-
-    Backslash first (so the other escapes aren't double-escaped), then
-    quote and newline — a raw newline inside a label value would
-    terminate the sample line and corrupt the whole exposition.
-    """
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def _split_shard(name: str) -> "tuple[str, str]":
-    """Split ``name[shard]`` into (base name, label string or '')."""
-    match = _SHARD_SUFFIX.match(name)
-    if match is None:
-        return name, ""
-    shard = _escape_label_value(match.group("shard"))
-    return match.group("base"), f'shard="{shard}"'
-
-
 def _fmt(value: float) -> str:
     """Deterministic sample-value formatting (repr-exact for floats)."""
     if value != value:  # NaN
@@ -96,28 +70,22 @@ def _fmt(value: float) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _render_timer(
-    lines: List[str], base: str, snap: Dict[str, Any], labels: str = ""
-) -> None:
+def _render_timer(lines: List[str], base: str, snap: Dict[str, Any]) -> None:
     """One timer snapshot as a cumulative Prometheus histogram."""
     name = f"{base}_seconds"
-    type_line = f"# TYPE {name} histogram"
-    if type_line not in lines:  # sharded timers share one TYPE line
-        lines.append(type_line)
-    prefix = f"{labels}," if labels else ""
-    suffix = f"{{{labels}}}" if labels else ""
+    lines.append(f"# TYPE {name} histogram")
     cum = int(snap.get("zero", 0))
     if cum:
-        lines.append(f'{name}_bucket{{{prefix}le="0.0"}} {cum}')
+        lines.append(f'{name}_bucket{{le="0.0"}} {cum}')
     buckets = snap.get("buckets", {})
     for idx in sorted(int(k) for k in buckets):
         cum += int(buckets[str(idx)])
         upper = 2.0 ** ((idx + 1) / SUBBUCKETS)
-        lines.append(f'{name}_bucket{{{prefix}le="{_fmt(upper)}"}} {cum}')
+        lines.append(f'{name}_bucket{{le="{_fmt(upper)}"}} {cum}')
     count = int(snap.get("count", 0))
-    lines.append(f'{name}_bucket{{{prefix}le="+Inf"}} {count}')
-    lines.append(f"{name}_sum{suffix} {_fmt(float(snap.get('total_s', 0.0)))}")
-    lines.append(f"{name}_count{suffix} {count}")
+    lines.append(f'{name}_bucket{{le="+Inf"}} {count}')
+    lines.append(f"{name}_sum {_fmt(float(snap.get('total_s', 0.0)))}")
+    lines.append(f"{name}_count {count}")
 
 
 def render_prometheus(
@@ -146,25 +114,16 @@ def render_prometheus(
     lines.append(f"# TYPE {up} gauge")
     lines.append(f"{up} {1 if registry.enabled else 0}")
     for name in sorted(snap.get("counters", {})):
-        stem, labels = _split_shard(name)
-        base = f"{_metric_name(namespace, stem)}_total"
-        type_line = f"# TYPE {base} counter"
-        if type_line not in lines:
-            lines.append(type_line)
-        suffix = f"{{{labels}}}" if labels else ""
-        lines.append(f"{base}{suffix} {int(snap['counters'][name])}")
+        base = f"{_metric_name(namespace, name)}_total"
+        lines.append(f"# TYPE {base} counter")
+        lines.append(f"{base} {int(snap['counters'][name])}")
     for name in sorted(snap.get("gauges", {})):
-        stem, labels = _split_shard(name)
-        base = _metric_name(namespace, stem)
-        type_line = f"# TYPE {base} gauge"
-        if type_line not in lines:
-            lines.append(type_line)
-        suffix = f"{{{labels}}}" if labels else ""
-        lines.append(f"{base}{suffix} {_fmt(float(snap['gauges'][name]))}")
+        base = _metric_name(namespace, name)
+        lines.append(f"# TYPE {base} gauge")
+        lines.append(f"{base} {_fmt(float(snap['gauges'][name]))}")
     for name in sorted(snap.get("timers", {})):
-        stem, labels = _split_shard(name)
         _render_timer(
-            lines, _metric_name(namespace, stem), snap["timers"][name], labels
+            lines, _metric_name(namespace, name), snap["timers"][name]
         )
     return "\n".join(lines) + "\n"
 

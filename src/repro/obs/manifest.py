@@ -3,12 +3,11 @@
 A *manifest* is a JSON-ready description of one instrumented run: the
 profile it used, per-experiment span timings, the dataset it ran on,
 Group-Lasso convergence statistics (iterations and final residual per
-lambda), the full span log, and a metrics snapshot.  Since schema v3 a
-``shards`` section breaks serving runs down per shard, harvested from
-the ``obs.worker`` events that
-:meth:`~repro.monitor.fleet.FleetMonitor.finish` emits for fleets
-built with a ``shard`` label.  The ``kernels`` section records which
-compiled kernels the process runs (``{"lu": bool, "fista": bool}``, see
+lambda), the full span log, and a metrics snapshot.  The ``workers``
+section holds the ``obs.worker`` events of parallel drivers and
+:meth:`~repro.monitor.fleet.FleetMonitor.finish`.  The ``kernels``
+section records which compiled kernels the process runs
+(``{"lu": bool, "fista": bool}``, see
 :func:`repro.utils.ckernels.active_kernels`), so a timed run says which
 solver path it timed.  The experiment runner writes it via
 ``--trace-out``; anything that holds an enabled registry can build one.
@@ -26,14 +25,13 @@ __all__ = [
     "build_manifest",
     "convergence_stats",
     "render_timing_summary",
-    "shard_stats",
     "worker_stats",
 ]
 
 #: Event name emitted by the constrained group-lasso solver.
 GL_EVENT = "group_lasso.constrained"
 
-#: Event name parents emit after merging a worker/shard snapshot.
+#: Event name parents emit after merging a worker snapshot.
 WORKER_EVENT = "obs.worker"
 
 #: Span-name prefix the runner uses for whole experiments.
@@ -57,47 +55,18 @@ def convergence_stats(registry: MetricsRegistry) -> List[Dict[str, Any]]:
 
 
 def worker_stats(registry: MetricsRegistry) -> List[Dict[str, Any]]:
-    """Per-worker/per-shard telemetry harvested from ``obs.worker`` events.
+    """Per-worker telemetry harvested from ``obs.worker`` events.
 
     Parallel drivers (``generate_maps(n_jobs=)``, ``FleetMonitor``)
     emit one ``obs.worker`` event per child after merging its registry
     snapshot back into the parent; each entry keeps the ``source``, the
-    worker/shard id, and the child's full metrics snapshot (so a
-    manifest can show merged totals *and* the per-worker breakdown).
+    worker id, and the child's full metrics snapshot (so a manifest can
+    show merged totals *and* the per-worker breakdown).
     """
     stats = []
     for event in registry.events_named(WORKER_EVENT):
         stats.append({k: v for k, v in event.items()
                       if k not in ("event", "seq")})
-    return stats
-
-
-def shard_stats(registry: MetricsRegistry) -> List[Dict[str, Any]]:
-    """Per-shard serving telemetry for the manifest's ``shards`` section.
-
-    Groups the ``obs.worker`` events that carry a ``shard`` label (a
-    :class:`~repro.monitor.fleet.FleetMonitor` built with ``shard=``
-    emits one at :meth:`~repro.monitor.fleet.FleetMonitor.finish`) and
-    keeps, per shard, the scalar roll-up fields (streams, cycles,
-    events, failovers) next to the shard's metrics snapshot.  Plain
-    ``n_jobs`` workers (no ``shard`` label) stay in
-    :func:`worker_stats` only.
-    """
-    stats: List[Dict[str, Any]] = []
-    for event in registry.events_named(WORKER_EVENT):
-        shard = event.get("shard")
-        if shard is None:
-            continue
-        entry: Dict[str, Any] = {"shard": shard}
-        for field in (
-            "source", "n_streams", "cycles", "events", "failovers",
-        ):
-            if field in event:
-                entry[field] = event[field]
-        snapshot = event.get("snapshot")
-        if isinstance(snapshot, dict):
-            entry["snapshot"] = snapshot
-        stats.append(entry)
     return stats
 
 
@@ -147,14 +116,13 @@ def build_manifest(
         name = event.get("event", "?")
         event_counts[name] = event_counts.get(name, 0) + 1
     manifest: Dict[str, Any] = {
-        "schema": "repro.obs.manifest/v3",
+        "schema": "repro.obs.manifest/v4",
         "profile": profile,
         "elapsed_s": registry.elapsed,
         "experiments": _experiment_timings(registry),
         "dataset": dataset,
         "group_lasso": convergence_stats(registry),
         "workers": worker_stats(registry),
-        "shards": shard_stats(registry),
         "kernels": active_kernels(),
         "spans": [record.as_dict() for record in registry.spans],
         "metrics": registry.snapshot(),

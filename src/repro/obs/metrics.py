@@ -12,7 +12,7 @@ so N worker processes (or scope threads) can each record into a private
 registry and the parent's merged percentiles are bit-identical to a
 single registry that pooled every sample.  This is what the parallel
 data-generation workers, the λ-path engine's scope threads, and the
-fleet monitor's per-shard latency stats ride on.
+fleet monitor's latency stats ride on.
 
 Two registry modes exist:
 

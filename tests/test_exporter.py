@@ -95,48 +95,6 @@ class TestRenderPrometheus:
     def test_metric_name_leading_digit_guard(self):
         assert _metric_name("", "9lives")[0] == "_"
 
-    def test_shard_suffix_becomes_label(self):
-        reg = MetricsRegistry()
-        reg.counter("monitor.batch_cycles[shard-a]").inc(7)
-        reg.counter("monitor.batch_cycles[shard-b]").inc(9)
-        reg.timer("monitor.run_batch[shard-a]").record(1e-3)
-        text = render_prometheus(reg)
-        lines = text.splitlines()
-        assert 'repro_monitor_batch_cycles_total{shard="shard-a"} 7' in lines
-        assert 'repro_monitor_batch_cycles_total{shard="shard-b"} 9' in lines
-        # One TYPE line shared by both shards of the same metric.
-        assert (
-            sum(
-                1
-                for l in lines
-                if l == "# TYPE repro_monitor_batch_cycles_total counter"
-            )
-            == 1
-        )
-        assert any(
-            l.startswith('repro_monitor_run_batch_seconds_sum{shard="shard-a"}')
-            for l in lines
-        )
-        assert any(
-            'shard="shard-a",le=' in l or 'le="0.0"' in l
-            for l in lines
-            if l.startswith("repro_monitor_run_batch_seconds_bucket")
-        )
-
-    def test_shard_label_value_escaped(self):
-        reg = MetricsRegistry()
-        reg.counter('c[we"ird]').inc()
-        text = render_prometheus(reg)
-        assert 'repro_c_total{shard="we\\"ird"} 1' in text.splitlines()
-
-    def test_newline_in_shard_label_escaped(self):
-        # A raw newline inside a label value would terminate the sample
-        # line mid-way and corrupt the exposition.
-        reg = MetricsRegistry()
-        reg.counter("c[line\nbreak]").inc()
-        text = render_prometheus(reg)
-        assert 'repro_c_total{shard="line\\nbreak"} 1' in text.splitlines()
-
     def test_fully_invalid_metric_name_still_renders(self):
         assert _metric_name("", "") == "_"  # empty-name guard
         assert _metric_name("", "...") == "___"
@@ -145,7 +103,7 @@ class TestRenderPrometheus:
         assert_valid_exposition(render_prometheus(reg, namespace=""))
 
     def test_nasty_names_produce_valid_exposition(self):
-        """End-to-end grammar check over hostile shard ids and names."""
+        """End-to-end grammar check over hostile instrument names."""
         reg = MetricsRegistry()
         for shard in (
             "shard-a.b",

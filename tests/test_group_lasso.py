@@ -160,6 +160,28 @@ class TestConstrained:
         with pytest.raises(ValueError):
             group_lasso_constrained(Z, G, budget=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rtol": -0.5},
+            {"rtol": float("nan")},
+            {"probe_tol": -1.0},
+            {"probe_tol": 0.0},
+        ],
+    )
+    def test_rejects_bad_tolerances(self, kwargs):
+        Z, G, _ = sparse_problem()
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            group_lasso_constrained(Z, G, budget=1.0, **kwargs)
+
+    def test_needs_data_without_cached_ols(self):
+        Z, G, _ = sparse_problem()
+        with pytest.raises(ValueError, match="Z and G are required"):
+            group_lasso_constrained(None, None, budget=1.0)
+        stats = SufficientStats.from_arrays(Z, G)
+        with pytest.raises(ValueError, match="not cached"):
+            group_lasso_constrained(None, None, budget=1.0, stats=stats)
+
     def test_zero_response_all_zero(self):
         rng = np.random.default_rng(0)
         Z = rng.standard_normal((50, 5))
@@ -214,6 +236,32 @@ class TestConstrainedPathFidelity:
         cached = group_lasso_constrained(Z, G, budget=1.0, stats=stats)
         assert np.array_equal(plain.coef, cached.coef)
         assert plain.penalty == cached.penalty
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("slack", [False, True])
+    def test_stats_only_call_bit_identical(self, lazy, slack):
+        # With the OLS solution cached on the statistics, the solve
+        # needs no data: (None, None, stats=) returns the (Z, G) result.
+        Z, G = correlated_problem(seed=4)
+        budget = 1.0
+        if slack:
+            budget = 2.0 * SufficientStats.from_arrays(Z, G).ols(Z, G)[1]
+
+        def solve(with_data):
+            stats = SufficientStats.from_arrays(Z, G, lazy=lazy)
+            if not with_data:
+                stats.ols(Z, G)
+            args = (Z, G) if with_data else (None, None)
+            return group_lasso_constrained(
+                *args, budget=budget, stats=stats, screen=lazy or None
+            )
+
+        with_data, stats_only = solve(True), solve(False)
+        assert (with_data.penalty == 0.0) == slack
+        assert np.array_equal(with_data.coef, stats_only.coef)
+        assert with_data.penalty == stats_only.penalty
+        assert with_data.objective == stats_only.objective
+        assert with_data.n_iterations == stats_only.n_iterations
 
     def test_loose_probes_match_strict_selection(self):
         Z, G = correlated_problem(seed=2)

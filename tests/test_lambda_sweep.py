@@ -7,8 +7,9 @@ import pytest
 
 import repro.core.lambda_sweep as lambda_sweep
 from repro.core.lambda_sweep import fit_for_sensor_count, sweep_lambda
-from repro.core.pipeline import PipelineConfig
+from repro.core.pipeline import PipelineConfig, fit_placement
 from repro.core.predictor import VoltagePredictor
+from repro.voltage.metrics import mean_relative_error
 from tests.conftest import make_synthetic_dataset
 
 
@@ -50,23 +51,32 @@ class TestSweepLambda:
     def test_warm_start_matches_independent_fits(self):
         # The engine-backed sweep (shared Gram + cross-budget warm
         # starts) must select the same sensors as refitting every
-        # budget from scratch.
+        # budget from scratch on the same training split.
         ds = make_synthetic_dataset(seed=5)
         budgets = [0.4, 0.8, 1.6, 3.2]
-        warm = sweep_lambda(ds, budgets=budgets, rng=0, warm_start=True)
-        cold = sweep_lambda(ds, budgets=budgets, rng=0, warm_start=False)
-        for w, c in zip(warm, cold):
+        warm = sweep_lambda(ds, budgets=budgets, rng=0)
+        train, test = ds.train_test_split(test_fraction=0.25, rng=0)
+        for w, budget in zip(warm, budgets):
+            cold = fit_placement(train, PipelineConfig(budget=budget))
             assert (
                 w.model.sensor_candidate_cols.tolist()
-                == c.model.sensor_candidate_cols.tolist()
+                == cold.sensor_candidate_cols.tolist()
             )
-            assert w.relative_error == pytest.approx(c.relative_error)
+            assert w.relative_error == pytest.approx(
+                mean_relative_error(cold.predict(test.X), test.F)
+            )
 
     def test_n_jobs_matches_serial(self):
         ds = make_synthetic_dataset(seed=6)
         budgets = [0.5, 1.0, 2.0]
-        serial = sweep_lambda(ds, budgets=budgets, rng=0, n_jobs=1)
-        threaded = sweep_lambda(ds, budgets=budgets, rng=0, n_jobs=2)
+        serial = sweep_lambda(
+            ds, budgets=budgets, rng=0,
+            base_config=PipelineConfig(budget=0.5, n_jobs=1),
+        )
+        threaded = sweep_lambda(
+            ds, budgets=budgets, rng=0,
+            base_config=PipelineConfig(budget=0.5, n_jobs=2),
+        )
         for s, t in zip(serial, threaded):
             assert (
                 s.model.sensor_candidate_cols.tolist()

@@ -293,7 +293,7 @@ class TestManifest:
     def test_timing_summary_empty(self):
         assert "no timings" in render_timing_summary(MetricsRegistry())
 
-    def test_manifest_carries_per_shard_section(self, synthetic_dataset):
+    def test_manifest_workers_carry_fleet_finish(self, synthetic_dataset):
         from repro.core.pipeline import PipelineConfig, fit_placement
         from repro.monitor.fleet import FleetMonitor
 
@@ -301,23 +301,24 @@ class TestManifest:
         readings = synthetic_dataset.X[:, model.sensor_candidate_cols]
         threshold = float(np.median(model.predict(synthetic_dataset.X)))
         with obs.use_registry(MetricsRegistry()) as reg:
-            for shard, n_streams in (("a", 3), ("b", 2)):
-                fleet = FleetMonitor(
-                    model, threshold, n_streams=n_streams, shard=shard
-                )
+            for n_streams in (3, 2):
+                fleet = FleetMonitor(model, threshold, n_streams=n_streams)
                 fleet.run_batch(np.stack([readings[:16]] * n_streams))
                 fleet.finish()
-            # A plain worker event (no shard label) stays out of the section.
-            reg.event("obs.worker", source="pool", worker=0)
             manifest = build_manifest(reg, profile="test")
-        shards = manifest["shards"]
-        assert shards == obs.shard_stats(reg)
-        assert [s["shard"] for s in shards] == ["a", "b"]
-        assert [s["n_streams"] for s in shards] == [3, 2]
-        for entry in shards:
+        assert manifest["schema"] == "repro.obs.manifest/v4"
+        assert "shards" not in manifest
+        workers = manifest["workers"]
+        assert workers == obs.worker_stats(reg)
+        assert [w["n_streams"] for w in workers] == [3, 2]
+        for entry in workers:
             assert entry["source"] == "monitor"
+            assert "shard" not in entry
             assert entry["cycles"] == 16
             assert "monitor.step" in entry["snapshot"]["timers"]
+        assert set(reg.snapshot()["timers"]) >= {
+            "monitor.run_batch", "monitor.stream_cycle"
+        }
         json.dumps(manifest)  # JSON-ready
 
 

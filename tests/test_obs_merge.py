@@ -174,12 +174,17 @@ class TestThreadRegistry:
 
     def test_path_engine_threads_merge_into_parent(self, synthetic_dataset):
         from repro.core.path_engine import LambdaPathEngine
+        from repro.core.pipeline import PipelineConfig
 
         with obs.use_registry(MetricsRegistry()) as seq_reg:
-            engine = LambdaPathEngine(synthetic_dataset, n_jobs=1)
+            engine = LambdaPathEngine(
+                synthetic_dataset, PipelineConfig(budget=1.0, n_jobs=1)
+            )
             seq_models = engine.fit_path([1.0, 2.0])
         with obs.use_registry(MetricsRegistry()) as par_reg:
-            engine = LambdaPathEngine(synthetic_dataset, n_jobs=4)
+            engine = LambdaPathEngine(
+                synthetic_dataset, PipelineConfig(budget=1.0, n_jobs=4)
+            )
             par_models = engine.fit_path([1.0, 2.0])
         # Identical work: same solves, same counters, same span names.
         assert [

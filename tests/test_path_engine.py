@@ -81,6 +81,22 @@ class TestEngineVsPipeline:
         for s_model, p_model in zip(serial, parallel):
             assert selections_of(s_model) == selections_of(p_model)
 
+    def test_dense_scope_state_holds_no_sample_rows(self):
+        # The readout slices the dataset when it runs; cached scope
+        # state must not grow with N (the paper chip has N = 10,000).
+        dataset = make_synthetic_dataset(n_samples=301)
+        engine = LambdaPathEngine(dataset, PipelineConfig(budget=1.0))
+        engine.fit(1.0)
+        for state in engine._scopes:
+            arrays = [
+                value
+                for holder in (state, state.stats, state.warm)
+                for value in vars(holder).values()
+                if isinstance(value, np.ndarray)
+            ]
+            assert arrays
+            assert all(301 not in a.shape for a in arrays)
+
     def test_rejects_empty_budgets(self):
         dataset = make_synthetic_dataset()
         engine = LambdaPathEngine(dataset, PipelineConfig(budget=1.0))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.path_engine import LambdaPathEngine
 from repro.core.pipeline import PipelineConfig, fit_placement
+from repro.obs import MetricsRegistry, use_registry
 from repro.voltage.metrics import mean_relative_error
 from tests.conftest import make_synthetic_dataset
 
@@ -17,6 +19,28 @@ class TestPipelineConfig:
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             PipelineConfig(budget=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("rtol", -0.5, ValueError),
+            ("rtol", float("nan"), ValueError),
+            ("probe_tol", -1.0, ValueError),
+            ("probe_tol", 0.0, ValueError),
+            ("solver_tol", 0.0, ValueError),
+            ("solver_tol", float("inf"), ValueError),
+            ("method", "newton", ValueError),
+            ("solver_max_iter", 0, ValueError),
+            ("solver_max_iter", 2.5, TypeError),
+        ],
+    )
+    def test_rejects_bad_solver_settings(self, field, value, error):
+        with pytest.raises(error, match=field if error is ValueError else None):
+            PipelineConfig(budget=1.0, **{field: value})
+
+    def test_accepts_edge_solver_settings(self):
+        cfg = PipelineConfig(budget=1.0, rtol=0.0, probe_tol=None, method="bcd")
+        assert cfg.rtol == 0.0 and cfg.probe_tol is None
 
 
 class TestFitPlacementPerCore:
@@ -84,3 +108,41 @@ class TestErrorCases:
         ds.candidate_cores[:] = 0
         with pytest.raises(ValueError, match="no\\s+sensor candidates"):
             fit_placement(ds, PipelineConfig(budget=1.0))
+
+
+class TestFitPlacementRunsOnEngine:
+    @pytest.mark.parametrize(
+        "options", [{"n_jobs": 1}, {"n_jobs": 2}, {"screen": True}]
+    )
+    def test_matches_engine_fit(self, options):
+        ds = make_synthetic_dataset(seed=2)
+        config = PipelineConfig(budget=1.0, **options)
+        with use_registry(MetricsRegistry()) as direct_reg:
+            direct = fit_placement(ds, config)
+        with use_registry(MetricsRegistry()) as engine_reg:
+            via_engine = LambdaPathEngine(ds, config).fit(config.budget)
+        assert direct.config == via_engine.config == config
+        for got, want in zip(direct.scopes, via_engine.scopes):
+            assert got.core_index == want.core_index
+            assert np.array_equal(got.selected_cols, want.selected_cols)
+            assert np.array_equal(
+                got.selection.group_norms, want.selection.group_norms
+            )
+            assert np.array_equal(
+                got.predictor.model.coef, want.predictor.model.coef
+            )
+
+        def span_count(registry, name):
+            return sum(1 for s in registry.spans if s.name == name)
+
+        assert span_count(direct_reg, "fit.scope") == span_count(
+            engine_reg, "fit.scope"
+        ) == len(direct.scopes)
+        top = [s for s in direct_reg.spans if s.name == "fit.placement"]
+        assert len(top) == 1
+        assert top[0].attributes["n_sensors"] == direct.n_sensors
+        assert {
+            s.parent
+            for s in direct_reg.spans
+            if s.name in ("path.prepare", "path.fit")
+        } == {"fit.placement"}
