@@ -37,9 +37,12 @@ exercises the sensor-fault failover path (one stuck-at sensor must be
 detected and served by the exact leave-one-out fallback), and exits
 nonzero if the batch path is below the 5x throughput target at
 ``S >= 16`` or any identity/failover check fails.  The committed
-``BENCH_monitor.json`` was produced by::
+``BENCH_monitor.json`` and its quick-profile twin
+``BENCH_monitor_quick.json`` (the baseline CI's ``--quick`` smoke is
+diffed against) were produced by::
 
     python benchmarks/run_bench.py --monitor --out BENCH_monitor.json
+    python benchmarks/run_bench.py --monitor --quick --out BENCH_monitor_quick.json
 
 **Tournament mode** (``--tournament``) races every registered sensor
 placer (:mod:`repro.baselines`) across the scenario grid — nominal

@@ -304,16 +304,18 @@ class LambdaPathEngine:
         stay sequential within a scope while scopes overlap); the
         models are then assembled per budget.
 
-        Raises whatever the earliest (in ascending-budget order)
-        failing scope fit raised — typically ``ValueError`` when a
-        budget is too small to select any sensor.
+        Raises whatever the earliest (in ascending-budget order, then
+        scope order) failing scope fit raised — typically ``ValueError``
+        when a budget is too small to select any sensor.  Every other
+        failure is attached to it as a note and all are counted in
+        ``path.scope_failures``.
         """
         if not budgets:
             raise ValueError("budgets must be non-empty")
         order = sorted(range(len(budgets)), key=lambda i: float(budgets[i]))
 
         results: Dict[Tuple[int, int], ScopeModel] = {}
-        failures: Dict[int, Exception] = {}
+        failures: Dict[Tuple[int, int], Exception] = {}
 
         def run_scope_path(scope_idx: int) -> None:
             state = self._scopes[scope_idx]
@@ -325,10 +327,8 @@ class LambdaPathEngine:
                         results[(scope_idx, budget_idx)] = self._fit_scope(
                             state, float(budgets[budget_idx])
                         )
-                    except Exception as exc:  # surfaced per budget below
-                        prior = failures.get(budget_idx)
-                        if prior is None:
-                            failures[budget_idx] = exc
+                    except Exception as exc:  # surfaced below
+                        failures[(budget_idx, scope_idx)] = exc
 
         with span(
             "path.fit_path", n_budgets=len(budgets), n_jobs=self.n_jobs
@@ -341,9 +341,23 @@ class LambdaPathEngine:
 
         if failures:
             # Mirror sequential semantics: the smallest failing budget
-            # is the error the caller sees.
-            first = min(failures, key=lambda i: float(budgets[i]))
-            raise failures[first]
+            # is the error the caller sees; the rest ride along as notes.
+            registry = get_registry()
+            if registry.enabled:
+                registry.counter("path.scope_failures").inc(len(failures))
+            first, *rest = sorted(
+                failures, key=lambda k: (float(budgets[k[0]]), k)
+            )
+            error = failures[first]
+            for budget_idx, scope_idx in rest:
+                other = failures[(budget_idx, scope_idx)]
+                error.add_note(
+                    f"also failed: core "
+                    f"{self._scopes[scope_idx].core_index} at budget "
+                    f"{float(budgets[budget_idx])!r}: "
+                    f"{type(other).__name__}: {other}"
+                )
+            raise error
 
         models: List[Optional[PlacementModel]] = [None] * len(budgets)
         for budget_idx, budget in enumerate(budgets):

@@ -46,6 +46,7 @@ from repro.core.pipeline import PlacementModel, placement_model_from_cols
 from repro.experiments.data_generation import GeneratedData
 from repro.monitor.faults import DropoutFault, FaultPolicy, SensorFault, StuckAtFault
 from repro.monitor.fleet import FleetMonitor
+from repro.obs import get_registry
 from repro.powergrid.transient import TransientSolver
 from repro.powergrid.variation import with_open_branches, with_resistance_variation
 from repro.voltage.dataset import VoltageDataset
@@ -504,8 +505,6 @@ def _refit_variations(
         return None
     if not getattr(type(placer), "supports_warm_start", False):
         return None
-    from repro.obs import get_registry
-
     try:
         warm_placer = get_placer(placer.name, warm_start=True)
     except TypeError:
@@ -673,6 +672,9 @@ def run_tournament(
             )
         except Exception as exc:  # noqa: BLE001 — one bad placer must not kill the race
             problems.append(f"{name}: {type(exc).__name__}: {exc}")
+            registry = get_registry()
+            if registry.enabled:
+                registry.counter("tournament.placer_failures").inc()
 
     entries.sort(
         key=lambda e: (

@@ -15,8 +15,9 @@ Two serving paths share one numeric profile:
 
 * :meth:`FleetMonitor.step` — cycle-at-a-time, ``(S, Q)`` readings.
 * :meth:`FleetMonitor.run_batch` — a whole ``(S, T, Q)`` tensor with
-  no Python-per-cycle loop: chunked flat matmuls for prediction and a
-  run-length-encoding pass for the debounce/episode state machine.
+  no Python loop over cycles or healthy streams: cache-blocked flat
+  matmuls fused with the min/argmin readout, and one replay of the
+  debounce/episode state machine across all streams.
 
 Bit-identity between the paths (and with a fleet of 1, which is what
 :class:`~repro.monitor.runtime.VoltageMonitor` wraps) is guaranteed by
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,9 +52,10 @@ __all__ = [
     "FleetMonitor",
 ]
 
-#: Rows per chunk of the flat ``run_batch`` matmul; bounds the live
-#: prediction buffer without affecting results (see ``_stable_rows``).
-_CHUNK_ROWS = 16384
+#: Rows per block of the flat ``run_batch`` readout: the ``(rows, K)``
+#: prediction block stays cache-resident and results do not depend on
+#: it (see ``_stable_rows``).
+_BLOCK_ROWS = 512
 
 _SCREEN_LABELS = (SCREEN_NAN, SCREEN_RANGE, SCREEN_FROZEN)
 
@@ -497,12 +499,12 @@ class FleetMonitor:
 
         Semantically identical (bit-for-bit: predictions, episodes,
         failovers, stats) to calling :meth:`step` T times, but with no
-        Python-per-cycle loop: fault screens are evaluated over the
-        full tensor, predictions run as chunked flat gemms, and the
-        debounce/episode machine is replayed per stream by run-length
-        encoding the below-threshold mask.  Streams whose prediction
-        minima contain NaN (possible only without a fault policy) fall
-        back to an exact scalar replay of the state machine.
+        Python loop over cycles or healthy streams: fault screens are
+        evaluated over the full tensor (or skipped when no screen can
+        fire), predictions run as cache-blocked flat gemms fused with
+        the min/argmin readout, and the debounce/episode machine of
+        every stream is replayed at once from the runs of the
+        below-threshold mask (see :meth:`_replay`).
 
         May be called repeatedly; debounce/episode/fault state carries
         across calls exactly as it does across :meth:`step` calls.
@@ -527,21 +529,17 @@ class FleetMonitor:
         t_base = self._cycle
 
         entry_compiled = list(self._compiled)
-        carried = self._detected.copy()
-        # Per-stream failover timeline: (local_cycle, compiled_after).
-        changes: List[List[Tuple[int, CompiledPredictor]]] = [
-            [] for _ in range(self.n_streams)
-        ]
+        # Failover timeline of each stream that fails over in this
+        # chunk: (local_cycle, compiled_after).
+        changes: Dict[int, List[Tuple[int, CompiledPredictor]]] = {}
         # Local cycle each detected sensor stops being trusted
         # (0 for sensors already dead at entry).
         clean_from = np.zeros((self.n_streams, self.n_sensors), dtype=np.int64)
         if self.policy is not None:
             det_t, screen_codes = self._screen_batch(streams)
-            det_t = np.where(carried, n_cycles, det_t)
-            for s in range(self.n_streams):
+            det_t[self._detected] = n_cycles
+            for s in np.nonzero((det_t < n_cycles).any(axis=1))[0].tolist():
                 fresh = np.nonzero(det_t[s] < n_cycles)[0]
-                if fresh.size == 0:
-                    continue
                 # Failover order matches step mode: by cycle, then by
                 # sensor position within a cycle.
                 for q in fresh[np.argsort(det_t[s, fresh], kind="stable")]:
@@ -553,23 +551,14 @@ class FleetMonitor:
                         _SCREEN_LABELS[screen_codes[s, q]],
                     )
                     clean_from[s, q] = t_loc
-                    changes[s].append((t_loc, self._compiled[s]))
+                    changes.setdefault(s, []).append(
+                        (t_loc, self._compiled[s])
+                    )
 
         v_min, blocks = self._predict_batch(
-            streams, entry_compiled, carried, changes, clean_from
+            streams, entry_compiled, changes, clean_from
         )
-        flags = np.zeros((self.n_streams, n_cycles), dtype=bool)
-        for s in range(self.n_streams):
-            if np.isfinite(v_min[s]).all():
-                flags[s] = self._advance_stream_rle(
-                    s, v_min[s], blocks[s], t_base
-                )
-            else:
-                for i in range(n_cycles):
-                    self._advance_single(
-                        s, float(v_min[s, i]), int(blocks[s, i]), t_base + i
-                    )
-                    flags[s, i] = self._alarm[s]
+        flags = self._replay(v_min, blocks, t_base)
         self._cycle += n_cycles
 
         registry = get_registry()
@@ -590,35 +579,30 @@ class FleetMonitor:
         self,
         streams: np.ndarray,
         entry_compiled: List[Optional[CompiledPredictor]],
-        carried: np.ndarray,
-        changes: List[List[Tuple[int, CompiledPredictor]]],
+        changes: Dict[int, List[Tuple[int, CompiledPredictor]]],
         clean_from: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-cycle prediction minima/argmins for the whole tensor."""
-        n_streams, n_cycles, _ = streams.shape
+        n_streams, n_cycles, n_sensors = streams.shape
+        # Streams that neither entered degraded nor failed over here.
+        healthy = ~self._detected.any(axis=1)
+        rows = streams if healthy.all() else streams[healthy]
+        v, b = self._minblock_rows(rows.reshape(-1, n_sensors), self._base)
+        if rows is streams:
+            shape = (n_streams, n_cycles)
+            return v.reshape(shape), b.reshape(shape)
         v_min = np.empty((n_streams, n_cycles))
         blocks = np.empty((n_streams, n_cycles), dtype=np.int64)
-        healthy = [
-            s
-            for s in range(n_streams)
-            if entry_compiled[s] is None and not changes[s]
-        ]
-        if healthy:
-            idx = np.asarray(healthy)
-            flat = streams[idx].reshape(idx.size * n_cycles, -1)
-            v, b = self._minblock_rows(flat, self._base)
-            v_min[idx] = v.reshape(idx.size, n_cycles)
-            blocks[idx] = b.reshape(idx.size, n_cycles)
-        for s in range(n_streams):
-            if s in healthy:
-                continue
+        v_min[healthy] = v.reshape(-1, n_cycles)
+        blocks[healthy] = b.reshape(-1, n_cycles)
+        for s in np.nonzero(~healthy)[0]:
             rows = streams[s].copy()
             for q in np.nonzero(self._detected[s])[0]:
                 rows[clean_from[s, q]:, q] = 0.0
             comp = entry_compiled[s]
             comp = self._base if comp is None else comp
             t_prev = 0
-            for t_loc, after in changes[s]:
+            for t_loc, after in changes.get(s, ()):
                 if t_loc > t_prev:
                     v, b = self._minblock_rows(rows[t_prev:t_loc], comp)
                     v_min[s, t_prev:t_loc] = v
@@ -633,18 +617,22 @@ class FleetMonitor:
     def _minblock_rows(
         self, rows: np.ndarray, compiled: CompiledPredictor
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Chunked per-row prediction min and argmin for ``(N, Q)`` rows."""
+        """Per-row prediction min and argmin for ``(N, Q)`` rows.
+
+        Walks ``_BLOCK_ROWS`` rows at a time so each prediction block
+        stays in cache, adds the intercept in place and gathers the
+        minimum at the argmin — bit-equal to ``pred.min(axis=1)``,
+        first-index ties and NaN rows included.
+        """
         n = rows.shape[0]
         v_min = np.empty(n)
         blocks = np.empty(n, dtype=np.int64)
-        for lo in range(0, n, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, n)
-            pred = (
-                _stable_rows(rows[lo:hi], compiled.coef_t)
-                + compiled.intercept
-            )
-            v_min[lo:hi] = pred.min(axis=1)
-            blocks[lo:hi] = pred.argmin(axis=1)
+        for lo in range(0, n, _BLOCK_ROWS):
+            pred = _stable_rows(rows[lo:lo + _BLOCK_ROWS], compiled.coef_t)
+            pred += compiled.intercept
+            arg = pred.argmin(axis=1)
+            blocks[lo:lo + arg.size] = arg
+            v_min[lo:lo + arg.size] = pred[np.arange(arg.size), arg]
         return v_min, blocks
 
     # -- episode state machine (batch replay) ----------------------------
@@ -677,152 +665,151 @@ class FleetMonitor:
         if v < self._min_pred[s]:
             self._min_pred[s] = v
 
-    def _advance_stream_rle(
-        self, s: int, v: np.ndarray, blocks: np.ndarray, t_base: int
+    def _replay(
+        self, v: np.ndarray, blocks: np.ndarray, t_base: int
     ) -> np.ndarray:
-        """Replay T cycles of one stream's state machine from RLE runs.
+        """Replay T cycles of every stream's state machine at once.
 
-        ``v`` must be finite; NaN streams go through
-        :meth:`_advance_single`.  Produces exactly the alarm flags,
-        episodes and counters of the per-cycle machine.
+        Produces exactly the ``(S, T)`` flags, episodes and counters of
+        T :meth:`_advance` calls.  The below-threshold runs of all
+        streams come from one ``nonzero``.  A run's episode minimum is
+        its first-occurrence minimum joined with the streak carried in
+        (which wins ties, being earlier); a run asserts
+        ``debounce - 1 - carry`` cycles in, or at once when it continues
+        an episode open at entry.  Streams whose minima are not all
+        finite replay through :meth:`_advance_single`.  Episodes are
+        emitted stream-major, in time order within a stream.
         """
-        n_cycles = v.size
-        thr = self.threshold
-        below = v < thr
-        flags = np.zeros(n_cycles, dtype=bool)
-        self._min_pred[s] = min(float(self._min_pred[s]), float(v.min()))
+        n_streams, n_cycles = v.shape
+        deb = self.debounce
+        finite = np.isfinite(v).all(axis=1)
+        below = (v < self.threshold) & finite[:, np.newaxis]
+        alarm0 = self._alarm & finite
 
-        padded = np.zeros(n_cycles + 2, dtype=bool)
-        padded[1:-1] = below
-        edges = np.diff(padded.astype(np.int8))
-        starts = np.nonzero(edges == 1)[0]
-        ends = np.nonzero(edges == -1)[0] - 1  # inclusive
+        # Runs [g, stop) of the below mask; edges alternate start/stop.
+        rs, edge = np.nonzero(
+            np.diff(below, axis=1, prepend=False, append=False)
+        )
+        rs, g, stop = rs[::2], edge[::2], edge[1::2]
+        length = stop - g
+        w = np.where(below, v, np.inf).ravel()
+        first = rs * n_cycles + g
+        run_min = np.minimum.reduceat(w, first)
+        run_block = np.zeros(g.size, dtype=np.int64)
+        if g.size:
+            # Block of each run's first cell that holds its minimum.
+            seg = np.diff(first, append=w.size)
+            hits = first[0] + np.nonzero(
+                w[first[0]:] == np.repeat(run_min, seg)
+            )[0]
+            run_block = blocks.ravel()[hits[np.searchsorted(hits, first)]]
 
-        streak0 = int(self._streak[s])
-        m0 = float(self._streak_min[s])
-        b0 = int(self._streak_block[s])
-        run_idx = 0
+        carry = np.where(g == 0, self._streak[rs], 0)
+        keep = (carry > 0) & (self._streak_min[rs] <= run_min)
+        c_min = np.where(keep, self._streak_min[rs], run_min)
+        c_block = np.where(keep, self._streak_block[rs], run_block)
+        cont = (g == 0) & alarm0[rs]
+        fire = np.where(cont, 0, np.maximum(deb - 1 - carry, 0))
+        fires = fire < length
+        deeper = cont & (run_min < self._ep_min[rs])
+        e_min = np.where(cont & ~deeper, self._ep_min[rs], c_min)
+        e_block = np.where(cont & ~deeper, self._ep_block[rs], c_block)
+        e_start = np.where(
+            cont, self._ep_start[rs], t_base + g + fire - (deb - 1)
+        )
+        # Backdated debounce cycles count as alarm cycles (see _advance).
+        gained = np.where(fires, length - fire + (deb - 1) * ~cont, 0)
+        self._alarm_cycles += np.bincount(
+            rs, weights=gained, minlength=n_streams
+        ).astype(np.int64)
+        self._min_pred = np.fmin(self._min_pred, np.fmin.reduce(v, axis=1))
 
-        if self._alarm[s]:
-            if below[0]:
-                # Leading run continues the open episode.
-                g, c = int(starts[0]), int(ends[0])
-                seg = v[g : c + 1]
-                j = int(seg.argmin())
-                if seg[j] < self._ep_min[s]:
-                    self._ep_min[s] = seg[j]
-                    self._ep_block[s] = int(blocks[g + j])
-                flags[g : c + 1] = True
-                self._alarm_cycles[s] += c - g + 1
-                if c == n_cycles - 1:
-                    # Still open at chunk end; the streak kept counting.
-                    self._streak[s] = streak0 + (c - g + 1)
-                    if not (streak0 > 0 and m0 <= seg[j]):
-                        self._streak_min[s] = seg[j]
-                        self._streak_block[s] = int(blocks[g + j])
-                    return flags
-                self._close_episode(s, t_base + c)
-                run_idx = 1
-            else:
-                # Recovery on the first cycle closes the episode there.
-                self._close_episode(s, t_base - 1)
-            streak0 = 0
+        marks = np.zeros((n_streams, n_cycles + 1), dtype=np.int8)
+        marks[rs[fires], (g + fire)[fires]] = 1
+        marks[rs[fires], stop[fires]] = -1
+        flags = np.cumsum(marks, axis=1, dtype=np.int8)[:, :-1] > 0
 
-        for r in range(run_idx, starts.size):
-            g, c = int(starts[r]), int(ends[r])
-            run_len = c - g + 1
-            carry = streak0 if g == 0 else 0
-            assert_at = max(0, self.debounce - 1 - carry)  # local in run
-            if assert_at < run_len:
-                # Episode asserts at g + assert_at, backdated by the
-                # debounce streak (which may reach into the carry).
-                pre = v[g : g + assert_at + 1]
-                j = int(pre.argmin())
-                if carry > 0 and m0 <= pre[j]:
-                    ep_min, ep_block = m0, b0
-                else:
-                    ep_min, ep_block = float(pre[j]), int(blocks[g + j])
-                post = v[g + assert_at + 1 : c + 1]
-                if post.size:
-                    j = int(post.argmin())
-                    if post[j] < ep_min:
-                        ep_min = float(post[j])
-                        ep_block = int(blocks[g + assert_at + 1 + j])
-                ep_start = t_base + g + assert_at - (self.debounce - 1)
-                flags[g + assert_at : c + 1] = True
-                self._alarm_cycles[s] += (self.debounce - 1) + (
-                    c - g - assert_at + 1
+        # Completed episodes: those open at entry that recover on cycle
+        # 0, then every asserted run that recovers inside the chunk.
+        shut = np.nonzero(alarm0 & ~below[:, 0])[0]
+        done = fires & (stop < n_cycles)
+        ep = [
+            np.concatenate(parts)
+            for parts in (
+                (shut, rs[done]),
+                (self._ep_start[shut], e_start[done]),
+                (np.full(shut.size, t_base - 1), t_base + stop[done] - 1),
+                (self._ep_min[shut], e_min[done]),
+                (self._ep_block[shut], e_block[done]),
+            )
+        ]
+        order = np.argsort(ep[0], kind="stable")
+        episodes = list(zip(*(a[order].tolist() for a in ep)))
+
+        # End-of-chunk state: only runs reaching the last cycle carry.
+        self._streak[finite] = 0
+        self._alarm[finite] = False
+        tail = stop == n_cycles
+        self._streak[rs[tail]] = (carry + length)[tail]
+        self._streak_min[rs[tail]] = c_min[tail]
+        self._streak_block[rs[tail]] = c_block[tail]
+        open_ = tail & fires
+        self._alarm[rs[open_]] = True
+        self._ep_start[rs[open_]] = e_start[open_]
+        self._ep_min[rs[open_]] = e_min[open_]
+        self._ep_block[rs[open_]] = e_block[open_]
+
+        ep_streams, emitted = ep[0][order], 0
+        for s in np.nonzero(~finite)[0].tolist():
+            cut = int(np.searchsorted(ep_streams, s))
+            self._emit_episodes(episodes[emitted:cut])
+            emitted = cut
+            for i in range(n_cycles):
+                self._advance_single(
+                    s, float(v[s, i]), int(blocks[s, i]), t_base + i
                 )
-                if c == n_cycles - 1:
-                    self._alarm[s] = True
-                    self._ep_start[s] = ep_start
-                    self._ep_min[s] = ep_min
-                    self._ep_block[s] = ep_block
-                    self._streak[s] = carry + run_len
-                    seg = v[g : c + 1]
-                    j = int(seg.argmin())
-                    if carry > 0 and m0 <= seg[j]:
-                        self._streak_min[s] = m0
-                        self._streak_block[s] = b0
-                    else:
-                        self._streak_min[s] = float(seg[j])
-                        self._streak_block[s] = int(blocks[g + j])
-                    return flags
-                self._emit_episode(
-                    s, int(ep_start), t_base + c, ep_min, ep_block
-                )
-            elif c == n_cycles - 1:
-                # Streak survives the chunk boundary without asserting.
-                self._streak[s] = carry + run_len
-                seg = v[g : c + 1]
-                j = int(seg.argmin())
-                if carry > 0 and m0 <= seg[j]:
-                    self._streak_min[s] = m0
-                    self._streak_block[s] = b0
-                else:
-                    self._streak_min[s] = float(seg[j])
-                    self._streak_block[s] = int(blocks[g + j])
-                return flags
-        if not (n_cycles and below[-1]):
-            self._streak[s] = 0
+                flags[s, i] = self._alarm[s]
+        self._emit_episodes(episodes[emitted:])
         return flags
 
-    def _emit_episode(
-        self, s: int, start: int, end: int, v_min: float, block: int
+    def _emit_episodes(
+        self, episodes: Sequence[Tuple[int, int, int, float, int]]
     ) -> None:
-        """Record one completed episode (log, obs, callback)."""
-        event = EmergencyEvent(
-            start_cycle=start,
-            end_cycle=end,
-            min_predicted=v_min,
-            worst_block=block,
-        )
-        self.events[s].append(event)
+        """Record completed ``(stream, start, end, v_min, block)`` episodes
+        in order (log, obs, callback)."""
         registry = get_registry()
-        if registry.enabled:
-            registry.counter("monitor.emergencies").inc()
-            registry.event(
-                "monitor.emergency",
-                stream=s,
-                start_cycle=event.start_cycle,
-                end_cycle=event.end_cycle,
-                duration=event.duration,
-                min_predicted=event.min_predicted,
-                worst_block=event.worst_block,
-                threshold=self.threshold,
+        for s, start, end, v_min, block in episodes:
+            event = EmergencyEvent(
+                start_cycle=start,
+                end_cycle=end,
+                min_predicted=v_min,
+                worst_block=block,
             )
-        if self.on_emergency is not None:
-            self.on_emergency(s, event)
+            self.events[s].append(event)
+            if registry.enabled:
+                registry.counter("monitor.emergencies").inc()
+                registry.event(
+                    "monitor.emergency",
+                    stream=s,
+                    start_cycle=event.start_cycle,
+                    end_cycle=event.end_cycle,
+                    duration=event.duration,
+                    min_predicted=event.min_predicted,
+                    worst_block=event.worst_block,
+                    threshold=self.threshold,
+                )
+            if self.on_emergency is not None:
+                self.on_emergency(s, event)
 
     def _close_episode(self, s: int, end_cycle: int) -> None:
         """Close stream ``s``'s open episode at ``end_cycle``."""
-        self._emit_episode(
+        self._emit_episodes([(
             s,
             int(self._ep_start[s]),
             int(end_cycle),
             float(self._ep_min[s]),
             int(self._ep_block[s]),
-        )
+        )])
         self._alarm[s] = False
         self._streak[s] = 0
 
@@ -867,7 +854,20 @@ class FleetMonitor:
         :meth:`_screen_step` would.
         """
         policy = self.policy
-        n_cycles = streams.shape[1]
+        n_streams, n_cycles, n_sensors = streams.shape
+        prev = np.inf if self._last is None else self._last[:, np.newaxis]
+        if (
+            streams.min() >= policy.v_lo  # NaN fails this test
+            and streams.max() <= policy.v_hi
+            and np.abs(np.diff(streams, axis=1, prepend=prev)).min()
+            > policy.frozen_eps
+        ):
+            # Clean chunk: no screen can fire and every frozen run
+            # restarts on every cycle.
+            self._frozen_run = np.ones_like(self._frozen_run)
+            self._last = streams[:, -1, :].copy()
+            never = np.full((n_streams, n_sensors), n_cycles, dtype=np.int64)
+            return never, np.zeros((n_streams, n_sensors), dtype=np.int8)
         finite = np.isfinite(streams)
         nan_m = ~finite
         range_m = finite & (

@@ -39,6 +39,17 @@ class TestBenchSchema:
         assert validate_bench(doc) == []
         assert infer_mode(doc) == name
 
+    def test_quick_monitor_baseline_aligns_with_quick_runs(self):
+        # CI diffs its --monitor --quick smoke against this baseline;
+        # the full-profile one is refused as a profile mismatch.
+        quick, doc = _committed_bench("monitor_quick")
+        full, _ = _committed_bench("monitor")
+        assert validate_bench(doc) == []
+        assert infer_mode(doc) == "monitor"
+        assert doc["profile"] == "quick"
+        assert main([quick, quick]) == 0
+        assert main([full, quick]) == 2
+
     def test_legacy_sweep_without_mode_is_inferred(self):
         _, doc = _committed_bench("sweep")
         doc.pop("mode", None)

@@ -13,7 +13,7 @@ from repro.monitor import (
     StuckAtFault,
     VoltageMonitor,
 )
-from repro.monitor.fleet import _stable_rows
+from repro.monitor.fleet import _BLOCK_ROWS, _stable_rows
 from tests.conftest import make_synthetic_dataset
 
 
@@ -66,6 +66,31 @@ class TestStableRows:
         W = rng.standard_normal((6, 5))
         assert np.allclose(_stable_rows(X, W), X @ W)
 
+
+class TestMinblockRows:
+    @pytest.mark.parametrize(
+        "n_rows",
+        [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 1],
+    )
+    def test_matches_unblocked_min_argmin(self, fitted, n_rows):
+        _, model = fitted
+        fleet = FleetMonitor(model, 0.9)
+        rng = np.random.default_rng(n_rows)
+        coef_t = rng.normal(size=(4, 6))
+        coef_t[:, 3] = coef_t[:, 1]  # blocks 1 and 3 tie on every row
+        intercept = rng.normal(size=6)
+        intercept[[1, 3]] = -20.0  # the tie is the minimum on plain rows
+        compiled = CompiledPredictor(np.arange(4), coef_t, intercept)
+        rows = rng.normal(size=(n_rows, 4))
+        rows[1::2, 0] *= 100.0  # spread minima over several blocks
+        rows[3::7, 2] = np.nan
+
+        v, b = fleet._minblock_rows(rows, compiled)
+        pred = _stable_rows(rows, coef_t) + intercept
+        assert np.array_equal(v, pred.min(axis=1), equal_nan=True)
+        assert np.array_equal(b, pred.argmin(axis=1))
+        assert np.isnan(v[3::7]).all()
+        assert (b == 1).any() and not (b == 3).any()  # first index wins
 
 class TestCompiledPredictor:
     def test_matches_model_predict(self, fitted):
@@ -255,6 +280,33 @@ class TestFleetVsSingleStream:
         assert stepper.events == batcher.events
         assert np.array_equal(stepper._alarm_cycles, batcher._alarm_cycles)
 
+    def test_screen_fast_path_carries_frozen_run(self, fitted):
+        """A clean chunk (fast path) then a chunk opening with a value
+        equal to the last one: same frozen carry and detection cycle as
+        the per-cycle screen."""
+        ds, model = fitted
+        n_streams, window = 3, 5
+        streams = _streams(model, ds, n_streams, 40, seed=12)
+        streams[1, 20:, 2] = streams[1, 19, 2]  # frozen from cycle 19 on
+        policy = FaultPolicy(frozen_window=window)
+        clean = streams[:, :20]
+        assert policy.v_lo < clean.min() and clean.max() < policy.v_hi
+        assert (np.abs(np.diff(clean, axis=1)) > policy.frozen_eps).all()
+
+        stepper = FleetMonitor(model, 1e-6, n_streams=n_streams, policy=policy)
+        batcher = FleetMonitor(model, 1e-6, n_streams=n_streams, policy=policy)
+        for t in range(20):
+            stepper.step(streams[:, t])
+        batcher.run_batch(clean)
+        assert np.array_equal(batcher._frozen_run, stepper._frozen_run)
+        assert (batcher._frozen_run == 1).all()
+        for t in range(20, 40):
+            stepper.step(streams[:, t])
+        batcher.run_batch(streams[:, 20:])
+        assert np.array_equal(batcher._frozen_run, stepper._frozen_run)
+        assert batcher.failures == stepper.failures
+        assert [f.cycle for f in batcher.failures[1]] == [19 + window - 1]
+        assert batcher.failures[1][0].screen == "frozen"
 
 class TestFleetBehaviour:
     def test_on_emergency_callback_gets_stream_index(self, fitted):

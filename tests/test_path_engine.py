@@ -109,6 +109,22 @@ class TestEngineVsPipeline:
         with pytest.raises(ValueError, match="no sensors selected"):
             engine.fit_path([1e-9, 1.0])
 
+    def test_every_scope_failure_is_counted_and_attached(self):
+        dataset = make_synthetic_dataset()
+        with use_registry(MetricsRegistry()) as registry:
+            engine = LambdaPathEngine(dataset, PipelineConfig(budget=1.0))
+            with pytest.raises(ValueError, match="no sensors selected") as info:
+                engine.fit_path([1.0, 2e-9, 1e-9])
+            counters = registry.snapshot()["counters"]
+        # Two too-small budgets fail in every scope; the smallest
+        # budget's first scope is raised and the others ride along.
+        failed = 2 * engine.n_scopes
+        assert counters["path.scope_failures"] == failed
+        notes = info.value.__notes__
+        assert len(notes) == failed - 1
+        assert all(note.startswith("also failed: core ") for note in notes)
+        assert sum("budget 2e-09" in note for note in notes) == engine.n_scopes
+
 
 class TestObservability:
     def test_counters_recorded(self):

@@ -356,6 +356,96 @@ class TestMonitorEquivalence:
             assert a.alarm_cycles == b.alarm_cycles
             assert a.min_predicted == b.min_predicted
 
+    @given(
+        debounce=st.integers(1, 4),
+        seed=st.integers(0, 50),
+        splits=st.lists(st.integers(1, 94), min_size=3, max_size=3),
+        with_policy=st.booleans(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_fleet_run_batch_equals_step_loop(
+        self, fitted, debounce, seed, splits, with_policy
+    ):
+        """16 streams, 3 random splits (one 1-cycle chunk), forced
+        always-/never-below streams, injected faults: run_batch replays
+        step mode exactly, emitting episodes stream-major per call."""
+        from repro.monitor import (
+            DropoutFault,
+            FaultPolicy,
+            FleetMonitor,
+            StuckAtFault,
+        )
+
+        ds, model, thr = fitted
+        n_streams, n_cycles = 16, 96
+        rng = np.random.default_rng(seed)
+        cols = model.sensor_candidate_cols
+        sensors = np.tile(ds.X[:, cols], (2, 1))
+        offsets = rng.integers(0, ds.X.shape[0], n_streams)
+        streams = np.stack([sensors[o:o + n_cycles] for o in offsets])
+        row_min = model.predict(ds.X).min(axis=1)
+        streams[0] = ds.X[np.argmin(row_min), cols]  # always below
+        streams[1] = ds.X[np.argmax(row_min), cols]  # never below
+        streams = streams + rng.normal(0, 3e-4, streams.shape)
+        for s in (2, 3):
+            start = int(rng.integers(0, n_cycles - 10))
+            streams[s] = DropoutFault(
+                channel=int(rng.integers(cols.size)), start=start,
+                duration=int(rng.integers(1, 10)),
+            ).apply(streams[s])
+        streams[4] = StuckAtFault(
+            channel=0, start=int(rng.integers(0, n_cycles)), value=0.93
+        ).apply(streams[4])
+        policy = FaultPolicy() if with_policy else None
+
+        stepper = FleetMonitor(
+            model, thr, debounce=debounce, n_streams=n_streams, policy=policy
+        )
+        step_flags = np.array(
+            [stepper.step(streams[:, t]) for t in range(n_cycles)]
+        ).T
+        stepper.finish()
+        assert step_flags[0, debounce - 1:].all()
+        assert not step_flags[1].any()
+
+        seen = []
+        batcher = FleetMonitor(
+            model, thr, debounce=debounce, n_streams=n_streams,
+            policy=policy, on_emergency=lambda s, ev: seen.append((s, ev)),
+        )
+        bounds = sorted({0, n_cycles, *splits, splits[0] + 1})
+        batch_flags = np.concatenate(
+            [
+                batcher.run_batch(streams[:, a:b])
+                for a, b in zip(bounds[:-1], bounds[1:])
+            ],
+            axis=1,
+        )
+        batcher.finish()
+
+        assert np.array_equal(step_flags, batch_flags)
+        assert stepper.events == batcher.events
+        assert stepper.failures == batcher.failures
+        for s in range(n_streams):
+            a, b = stepper.stream_stats(s), batcher.stream_stats(s)
+            assert (a.alarm_cycles, a.min_predicted, a.events) == (
+                b.alarm_cycles, b.min_predicted, b.events
+            )
+        # An episode ending at cycle e is emitted by the call holding
+        # cycle e + 1 (finish() takes those open at the end); within a
+        # call, stream-major and in time order.
+        windows = list(zip(bounds[:-1], bounds[1:])) + [
+            (n_cycles, n_cycles + 1)
+        ]
+        expected = [
+            (s, ev)
+            for a, b in windows
+            for s in range(n_streams)
+            for ev in stepper.events[s]
+            if a - 1 <= ev.end_cycle <= b - 2
+        ]
+        assert seen == expected
+
 
 class TestPipelineConsistency:
     @given(seed=st.integers(0, 20))

@@ -23,6 +23,7 @@ from repro.experiments.tournament import (
     render_leaderboard_markdown,
     run_tournament,
 )
+from repro.obs import MetricsRegistry, use_registry
 from repro.obs.benchjson import normalize_bench, validate_bench
 from tests.golden.regenerate import (
     TOURNAMENT_GOLDEN_PATH,
@@ -139,6 +140,18 @@ def test_failing_placer_is_isolated(tiny_data):
     assert "no_such_placer" in result.problems[0]
     with pytest.raises(KeyError):
         result.entry("no_such_placer")
+
+
+def test_failing_placer_is_counted(tiny_data):
+    config = TournamentConfig(
+        placers=("worst_noise", "no_such_placer"),
+        n_variation=0,
+        fault_modes=(),
+    )
+    with use_registry(MetricsRegistry()) as registry:
+        result = run_tournament(tiny_data, config)
+        counters = registry.snapshot()["counters"]
+    assert counters["tournament.placer_failures"] == len(result.problems) == 1
 
 
 def test_config_validation():
