@@ -3,23 +3,57 @@
 Times one full Table 1-style sweep through the shared-Gram,
 warm-started :class:`~repro.core.path_engine.LambdaPathEngine` and one
 as cold per-budget ``fit_placement`` calls, and checks they select the
-same sensors.  ``benchmarks/run_bench.py`` produces the committed
-``BENCH_sweep.json`` from the same configuration.
+same sensors.
 """
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import pytest
 
 from benchmarks.conftest import run_once
-from benchmarks.run_bench import SWEEP_RNG, cold_sweep
-from repro.core.lambda_sweep import sweep_lambda
-from repro.core.pipeline import PipelineConfig
+from repro.core.lambda_sweep import SweepPoint, sweep_lambda
+from repro.core.pipeline import PipelineConfig, fit_placement
+from repro.voltage.metrics import max_absolute_error, mean_relative_error
 
-#: Same grid as benchmarks/run_bench.py (the paper-relevant sparse
-#: regime; see docs/performance.md for why near-slack budgets are
-#: excluded).
+#: The paper-relevant sparse regime (Table 1 operates at a handful of
+#: sensors per core).  Budgets near the OLS slack bound are excluded:
+#: there the optimum is degenerate (many interchangeable near-zero
+#: groups) and selected sets are not comparable across solvers; see
+#: docs/performance.md.
 BUDGETS = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
+
+#: Split seed, fixed so baseline and engine score identically.
+SWEEP_RNG = 0
+
+
+def cold_sweep(dataset, budgets: Sequence[float]) -> List[SweepPoint]:
+    """The sweep baseline: one cold ``fit_placement`` per budget.
+
+    Every probe runs at the strict tolerance (``probe_tol=None``) and
+    no statistics or warm starts cross budgets.  Points are scored on
+    the held-out split :func:`sweep_lambda` draws with ``rng=SWEEP_RNG``.
+    """
+    train, test = dataset.train_test_split(test_fraction=0.25, rng=SWEEP_RNG)
+    n_cores = max(1, len(dataset.core_ids))
+    points = []
+    for budget in budgets:
+        model = fit_placement(
+            train, PipelineConfig(budget=float(budget), probe_tol=None)
+        )
+        pred = model.predict(test.X)
+        points.append(
+            SweepPoint(
+                budget=float(budget),
+                n_sensors_total=model.n_sensors,
+                sensors_per_core=model.n_sensors / n_cores,
+                relative_error=mean_relative_error(pred, test.F),
+                max_abs_error=max_absolute_error(pred, test.F),
+                model=model,
+            )
+        )
+    return points
 
 
 def _engine_sweep(dataset):

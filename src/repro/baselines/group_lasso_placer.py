@@ -58,7 +58,6 @@ class GroupLassoPlacer(Placer):
 
     name = "group_lasso"
     supports_warm_start = True
-    supports_screening = True
 
     def __init__(
         self,

@@ -33,9 +33,9 @@ The contract (pinned by ``tests/test_placer_properties.py``):
   Stochastic placers thread one generator sequentially through the
   scopes, matching the legacy ``fit_random`` stream.
 
-Capability flags (``supports_warm_start``, ``supports_screening``,
-``uses_rng``) let drivers such as the tournament pick solver features
-per placer.  Implementations register themselves in a process-global
+Capability flags (``supports_warm_start``, ``uses_rng``) let drivers
+such as the tournament pick solver features per placer.
+Implementations register themselves in a process-global
 registry (:func:`register_placer`) so test suites and tournaments can
 enumerate every available algorithm (:func:`available_placers`).
 """
@@ -192,9 +192,9 @@ class Placer(abc.ABC):
     ----------------
     name:
         Registry name (``register_placer`` keys on it).
-    supports_warm_start / supports_screening:
-        Whether the underlying solver can reuse warm starts / strong-
-        rule screening (only the group-lasso placer does).
+    supports_warm_start:
+        Whether the underlying solver can reuse warm starts (only the
+        group-lasso placer does).
     uses_rng:
         Whether the placer consumes ``constraints.seed``; deterministic
         placers receive ``rng=None``.
@@ -202,7 +202,6 @@ class Placer(abc.ABC):
 
     name: str = "abstract"
     supports_warm_start: bool = False
-    supports_screening: bool = False
     uses_rng: bool = False
 
     @abc.abstractmethod

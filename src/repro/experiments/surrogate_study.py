@@ -13,23 +13,30 @@ Two sweeps, two questions:
   the screen shortlist, and was the single worst case among them?
 
 :func:`run_surrogate_study` runs both and returns the
-``repro.bench/v1`` ``surrogate`` report consumed by
-``benchmarks/run_bench.py --surrogate`` (committed as
-``BENCH_surrogate.json``).  Gates: screening throughput must beat exact
-by ``SPEEDUP_TARGET`` on the full profile, guard-bound violations among
-exact-verified scenarios must be zero everywhere, and the recall sweep
-must shortlist the true worst case.
+``repro.bench/v1`` ``surrogate`` report.  Gates: screening throughput
+must beat exact by ``SPEEDUP_TARGET`` on the full profile, guard-bound
+violations among exact-verified scenarios must be zero everywhere, and
+the recall sweep must shortlist the true worst case.  The committed
+``BENCH_surrogate.json`` was produced by::
+
+    python -m repro.experiments.surrogate_study --out BENCH_surrogate.json
+
+``--quick`` runs the CI-smoke profiles; the command exits nonzero when
+any gate fails.
 """
 
 from __future__ import annotations
 
+import argparse
+import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import repro.obs as obs
 from repro.experiments.config import ChipConfig, DataConfig
 from repro.experiments.data_generation import build_chip
+from repro.obs.benchjson import emit_bench
 from repro.surrogate import ScenarioSpace, SweepConfig, SweepResult, run_sweep
 
 __all__ = [
@@ -40,6 +47,7 @@ __all__ = [
     "RECALL_QUICK_PROFILE",
     "SPEEDUP_TARGET",
     "run_surrogate_study",
+    "main",
 ]
 
 #: Minimum screening-vs-exact throughput ratio on the full profile.
@@ -188,8 +196,8 @@ def run_surrogate_study(quick: bool = False) -> Dict:
     The report's ``problems`` list is the gate: a guard-bound violation
     in either sweep, a missed worst case in the recall sweep, or (full
     profile only) screening throughput below :data:`SPEEDUP_TARGET`
-    each append an entry, and ``run_bench.py --surrogate`` exits
-    nonzero when any are present.
+    each append an entry, and :func:`main` exits nonzero when any are
+    present.
     """
     throughput_profile = THROUGHPUT_QUICK_PROFILE if quick else THROUGHPUT_PROFILE
     recall_profile = RECALL_QUICK_PROFILE if quick else RECALL_PROFILE
@@ -256,3 +264,46 @@ def run_surrogate_study(quick: bool = False) -> Dict:
         "timers": timers,
         "problems": problems,
     }
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Run the surrogate study and write its bench report."""
+    parser = argparse.ArgumentParser(
+        description="Benchmark the learned droop surrogate: screening "
+        "throughput vs the exact engine on a dense grid, plus exact "
+        "top-k recall on a small grid."
+    )
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="CI-smoke profiles (no speedup gate)",
+    )
+    parser.add_argument(
+        "--out", default=None, metavar="BENCH_surrogate.json",
+        help="write the repro.bench/v1 report to this path",
+    )
+    args = parser.parse_args(argv)
+
+    report = run_surrogate_study(quick=args.quick)
+    tp = report["throughput"]
+    rc = report["recall"]
+    print(f"surrogate profile: {report['profile']}  model: {tp['model']}")
+    print(
+        f"throughput [{tp['profile']}]: screen "
+        f"{tp['screen_scenarios_per_min']:,.0f}/min vs exact "
+        f"{tp['exact_scenarios_per_min']:,.0f}/min  "
+        f"speedup {tp['speedup']:.1f}x  "
+        f"guard_violations={tp['guard_violations']}  "
+        f"nominal_coverage={tp['nominal_coverage']:.3f}"
+    )
+    print(
+        f"recall [{rc['profile']}]: recall@{rc['top_k']} "
+        f"{rc['recall_at_k']:.2f}  worst_case_hit="
+        f"{bool(rc['worst_case_hit'])}  "
+        f"guard_violations={rc['guard_violations']}  "
+        f"rank_agreement={rc['rank_agreement']:.2f}"
+    )
+    return emit_bench(report, args.out)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,12 +24,20 @@ per-variation-instance relative errors (degraded-mode error is
 reported but not ranked on, so robustness/accuracy trade-offs stay
 visible).  The result serializes to a ``repro.bench/v1`` document
 (mode ``"tournament"``; see :mod:`repro.obs.benchjson`) and renders as
-a markdown leaderboard — ``python benchmarks/run_bench.py
---tournament`` writes both to ``results/``.
+a markdown leaderboard.  The committed ``results/leaderboard.json`` /
+``results/leaderboard.md`` were produced by::
+
+    python -m repro.experiments.tournament \
+        --out results/leaderboard.json --markdown results/leaderboard.md
+
+``--quick`` races the same placers on a tiny chip in seconds (the CI
+smoke); the command exits nonzero when a placer failed to place.
 """
 
 from __future__ import annotations
 
+import argparse
+import sys
 import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -43,10 +51,17 @@ from repro.baselines.placer import (
     get_placer,
 )
 from repro.core.pipeline import PlacementModel, placement_model_from_cols
-from repro.experiments.data_generation import GeneratedData
+from repro.experiments.config import (
+    ChipConfig,
+    DataConfig,
+    ExperimentSetup,
+    FAST_SETUP,
+)
+from repro.experiments.data_generation import GeneratedData, generate_dataset
 from repro.monitor.faults import DropoutFault, FaultPolicy, SensorFault, StuckAtFault
 from repro.monitor.fleet import FleetMonitor
-from repro.obs import get_registry
+from repro.obs import MetricsRegistry, get_registry, use_registry
+from repro.obs.benchjson import emit_bench
 from repro.powergrid.transient import TransientSolver
 from repro.powergrid.variation import with_open_branches, with_resistance_variation
 from repro.voltage.dataset import VoltageDataset
@@ -68,6 +83,8 @@ __all__ = [
     "simulate_variation_instances",
     "run_tournament",
     "render_leaderboard_markdown",
+    "QUICK_SETUP",
+    "main",
 ]
 
 #: Default field: the paper's group lasso, the modern competitors, and
@@ -747,3 +764,86 @@ def render_leaderboard_markdown(result: TournamentResult) -> str:
         lines += [f"- `{p}`" for p in result.problems]
     lines.append("")
     return "\n".join(lines)
+
+
+#: ``--quick`` setup: a tiny two-core chip and short workloads, so the
+#: whole race (every placer x scenario) runs in seconds while still
+#: exercising every placer end to end.
+QUICK_SETUP = ExperimentSetup(
+    chip=ChipConfig(
+        core_cols=2, core_rows=1, template="small",
+        grid_pitch=0.2, pad_pitch=1.5,
+    ),
+    train=DataConfig(
+        benchmarks=("x264", "canneal"),
+        steps_per_benchmark=160, warmup_steps=30,
+        n_samples=300, seed=21,
+    ),
+    eval=DataConfig(
+        benchmarks=("x264", "canneal"),
+        steps_per_benchmark=120, warmup_steps=30,
+        n_samples=220, seed=22,
+    ),
+    name="tournament-quick",
+)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Race every default placer and write the leaderboard documents.
+
+    The full run uses the ``fast`` experiment profile and the default
+    scenario grid; ``--quick`` shrinks the chip, workloads and grid.
+    Returns 1 when a placer failed (its entry is in ``problems``).
+    """
+    parser = argparse.ArgumentParser(
+        description="Race every registered sensor placer across "
+        "benchmarks, variation instances and fault scenarios."
+    )
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="tiny chip and scenario grid (seconds; CI smoke)",
+    )
+    parser.add_argument(
+        "--out", default=None, metavar="leaderboard.json",
+        help="write the repro.bench/v1 leaderboard to this path",
+    )
+    parser.add_argument(
+        "--markdown", default=None, metavar="leaderboard.md",
+        help="also write the markdown leaderboard to this path",
+    )
+    args = parser.parse_args(argv)
+
+    setup = QUICK_SETUP if args.quick else FAST_SETUP
+    config = (
+        TournamentConfig(n_variation=2, variation_steps=120)
+        if args.quick
+        else TournamentConfig()
+    )
+    t0 = _time.perf_counter()
+    data = generate_dataset(setup)
+    datagen_s = _time.perf_counter() - t0
+    with use_registry(MetricsRegistry()) as registry:
+        t0 = _time.perf_counter()
+        result = run_tournament(data, config)
+        tournament_s = _time.perf_counter() - t0
+        counters = {
+            name: value
+            for name, value in registry.snapshot()["counters"].items()
+            if name.startswith(("placer.", "tournament."))
+        }
+
+    report = result.leaderboard()
+    report.update(
+        datagen_s=datagen_s, tournament_s=tournament_s, counters=counters
+    )
+    print(result.render())
+    print(f"datagen: {datagen_s:.2f}s  tournament: {tournament_s:.2f}s")
+    if args.markdown:
+        with open(args.markdown, "w", encoding="utf-8") as fh:
+            fh.write(render_leaderboard_markdown(result))
+        print(f"markdown leaderboard written to {args.markdown}")
+    return emit_bench(report, args.out)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -842,6 +842,33 @@ class FleetMonitor:
                 screen = SCREEN_FROZEN
             self._fail_sensor(int(s), int(q), t, screen)
 
+    def _chunk_is_clean(self, streams: np.ndarray) -> bool:
+        """Whether no screen can fire on an undetected sensor in ``streams``.
+
+        True when every reading of each undetected (stream, sensor)
+        pair lies in ``[v_lo, v_hi]`` (NaN fails) and none lies within
+        ``frozen_eps`` of its predecessor, the carried last reading
+        included.  Detected sensors are left out: their screens never
+        fire again, so one dead sensor does not send every later chunk
+        of the fleet through the full screen.
+        """
+        policy = self.policy
+        last = self._last
+        if self._detected.any():
+            live = ~self._detected
+            if not live.any():
+                return True
+            # (pairs, T, 1): one series per undetected (stream, sensor).
+            streams = streams.transpose(0, 2, 1)[live][:, :, np.newaxis]
+            last = None if last is None else last[live][:, np.newaxis]
+        prev = np.inf if last is None else last[:, np.newaxis]
+        return bool(
+            streams.min() >= policy.v_lo  # NaN fails this test
+            and streams.max() <= policy.v_hi
+            and np.abs(np.diff(streams, axis=1, prepend=prev)).min()
+            > policy.frozen_eps
+        )
+
     def _screen_batch(
         self, streams: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -855,15 +882,10 @@ class FleetMonitor:
         """
         policy = self.policy
         n_streams, n_cycles, n_sensors = streams.shape
-        prev = np.inf if self._last is None else self._last[:, np.newaxis]
-        if (
-            streams.min() >= policy.v_lo  # NaN fails this test
-            and streams.max() <= policy.v_hi
-            and np.abs(np.diff(streams, axis=1, prepend=prev)).min()
-            > policy.frozen_eps
-        ):
-            # Clean chunk: no screen can fire and every frozen run
-            # restarts on every cycle.
+        if self._chunk_is_clean(streams):
+            # No screen can fire on a live sensor and every live frozen
+            # run restarts on every cycle.  Detected sensors' runs are
+            # never read again, so they restart too.
             self._frozen_run = np.ones_like(self._frozen_run)
             self._last = streams[:, -1, :].copy()
             never = np.full((n_streams, n_sensors), n_cycles, dtype=np.int64)

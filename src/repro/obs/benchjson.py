@@ -1,25 +1,26 @@
-"""Shared schema for the ``BENCH_*.json`` benchmark reports.
+"""Shared schema and writer for the ``repro.bench/v1`` reports.
 
-The ``benchmarks/run_bench.py`` modes (λ sweep, datagen, monitor,
-screen, placement tournament, surrogate) historically drifted in
-field names — the sweep report did not even carry a ``mode`` stamp.
-This module pins the contract down:
+Two study modules write benchmark reports:
+``python -m repro.experiments.tournament`` (the placement leaderboard,
+``results/leaderboard.json``) and
+``python -m repro.experiments.surrogate_study`` (``BENCH_surrogate.json``).
+This module pins their contract down:
 
-* :data:`BENCH_SCHEMA` — the schema tag ``run_bench.py`` stamps into
-  every report it writes (:func:`stamp_bench`).
-* :func:`infer_mode` — mode of a report, including legacy ones that
-  predate the stamp (a committed ``BENCH_sweep.json`` is recognized by
-  its ``engine_points``).
-* :func:`validate_bench` — structural validation; ``run_bench.py``
-  calls it before writing and refuses to emit malformed reports.
-* :func:`normalize_bench` — flattens any mode into the common
+* :data:`BENCH_SCHEMA` — the schema tag stamped into every report
+  (:func:`stamp_bench`).
+* :func:`infer_mode` — the (explicit) mode of a report.
+* :func:`validate_bench` — structural validation.
+* :func:`emit_bench` — the shared stamp → validate → write → exit-code
+  tail of both study CLIs.
+* :func:`normalize_bench` — flattens either mode into the common
   ``{counters, timers, scalars}`` shape that
   :mod:`repro.obs.report` diffs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+import json
+from typing import Any, Dict, List, Optional
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -27,28 +28,18 @@ __all__ = [
     "infer_mode",
     "stamp_bench",
     "validate_bench",
+    "emit_bench",
     "normalize_bench",
 ]
 
-#: Schema tag stamped into every bench report written from now on.
+#: Schema tag stamped into every bench report.
 BENCH_SCHEMA = "repro.bench/v1"
 
-#: The benchmark modes ``run_bench.py`` produces.
-MODES = (
-    "sweep", "datagen", "monitor", "screen", "tournament", "surrogate",
-)
+#: The benchmark report modes.
+MODES = ("tournament", "surrogate")
 
 #: Fields every report of a mode must carry to be considered valid.
 _REQUIRED_FIELDS = {
-    "sweep": ("budgets", "engine_s", "counters", "engine_points"),
-    "datagen": (
-        "reference_s", "optimized_s", "speedup", "equality",
-        "counters", "problems",
-    ),
-    "monitor": (
-        "loop_s", "batch_s", "speedup", "identity", "failover", "problems",
-    ),
-    "screen": ("compare", "large", "counters", "problems"),
     "tournament": ("budget", "placers", "scenarios", "entries", "problems"),
     "surrogate": (
         "throughput", "recall", "counters", "problems",
@@ -57,25 +48,16 @@ _REQUIRED_FIELDS = {
 
 
 def infer_mode(doc: Dict[str, Any]) -> str:
-    """The benchmark mode of ``doc``.
-
-    Honors an explicit ``mode`` field; legacy sweep reports (written
-    before the schema stamp existed) are recognized by their
-    ``engine_points`` list.
+    """The benchmark mode of ``doc`` (its ``mode`` field).
 
     Raises
     ------
     ValueError
-        If the mode is missing/unknown and cannot be inferred.
+        If the mode is missing or unknown.
     """
     mode = doc.get("mode")
-    if mode is None and "engine_points" in doc:
-        return "sweep"
     if mode not in MODES:
-        raise ValueError(
-            f"cannot determine benchmark mode: mode={mode!r} and no "
-            "recognizable legacy shape"
-        )
+        raise ValueError(f"cannot determine benchmark mode: mode={mode!r}")
     return str(mode)
 
 
@@ -89,10 +71,8 @@ def stamp_bench(doc: Dict[str, Any]) -> Dict[str, Any]:
 def validate_bench(doc: Dict[str, Any]) -> List[str]:
     """Structural problems of a bench report (empty list = valid).
 
-    Accepts both stamped (``schema``/``mode`` present) and legacy
-    reports; a wrong schema tag, an undeterminable mode, missing
-    required fields, or non-numeric counters are each one problem
-    string.
+    A wrong schema tag, an undeterminable mode, missing required
+    fields, or non-numeric counters are each one problem string.
     """
     problems: List[str] = []
     schema = doc.get("schema")
@@ -119,6 +99,32 @@ def validate_bench(doc: Dict[str, Any]) -> List[str]:
     return problems
 
 
+def emit_bench(report: Dict[str, Any], out: Optional[str] = None) -> int:
+    """Stamp, validate and write ``report``; return the exit code.
+
+    Validation runs even when no ``out`` path is given, so a quick
+    smoke run catches a report that drifts from the schema; a report
+    that fails it raises ``SystemExit``.  The report's ``problems``
+    list is printed and maps to exit code 1.
+    """
+    stamp_bench(report)
+    issues = validate_bench(report)
+    if issues:
+        raise SystemExit("invalid bench report: " + "; ".join(issues))
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"report written to {out}")
+    problems = report.get("problems", [])
+    if problems:
+        print(f"{len(problems)} problem(s):")
+        for problem in problems:
+            print(f"  {problem}")
+        return 1
+    return 0
+
+
 def _scalar(out: Dict[str, float], doc: Dict[str, Any], *names: str) -> None:
     """Copy numeric fields of ``doc`` into ``out`` when present."""
     for name in names:
@@ -133,39 +139,15 @@ def normalize_bench(doc: Dict[str, Any]) -> Dict[str, Any]:
     ``counters`` are exact event counts, ``timers`` percentile-summary
     dicts (bench reports have none — manifests do), and ``scalars``
     everything else numeric: wall-clock seconds, speedups, and
-    per-budget accuracy figures keyed ``relative_error[budget=2]``.
+    per-placer error figures keyed ``overall_error[placer=qr_pivot]``.
     The report CLI classifies entries by name, so the keys here are
     the contract.
     """
     mode = infer_mode(doc)
-    counters: Dict[str, float] = {}
-    timers: Dict[str, Dict[str, float]] = {}
+    counters = doc.get("counters", {})
     scalars: Dict[str, float] = {}
 
-    if mode == "sweep":
-        counters.update(doc.get("counters", {}))
-        _scalar(scalars, doc, "datagen_s", "engine_s", "baseline_s", "speedup")
-        for point in doc.get("engine_points", []):
-            budget = point.get("budget")
-            tag = f"[budget={budget:g}]" if isinstance(budget, (int, float)) else ""
-            for field in ("relative_error", "max_abs_error", "n_sensors"):
-                value = point.get(field)
-                if isinstance(value, (int, float)):
-                    scalars[f"{field}{tag}"] = float(value)
-        scalars["solver_problems"] = float(len(doc.get("solver_problems", [])))
-    elif mode == "datagen":
-        counters.update(doc.get("counters", {}))
-        _scalar(
-            scalars, doc,
-            "reference_s", "optimized_s", "speedup",
-            "cache_cold_s", "cache_warm_s", "cache_speedup",
-        )
-        equality = doc.get("equality", {})
-        if isinstance(equality, dict):
-            _scalar(scalars, equality, "max_ulp32")
-        scalars["problems"] = float(len(doc.get("problems", [])))
-    elif mode == "tournament":
-        counters.update(doc.get("counters", {}))
+    if mode == "tournament":
         for entry in doc.get("entries", []):
             placer = entry.get("placer")
             tag = f"[placer={placer}]" if placer else ""
@@ -181,9 +163,7 @@ def normalize_bench(doc: Dict[str, Any]) -> Dict[str, Any]:
                 value = nominal.get("relative_error")
                 if isinstance(value, (int, float)):
                     scalars[f"nominal_error{tag}"] = float(value)
-        scalars["problems"] = float(len(doc.get("problems", [])))
-    elif mode == "surrogate":
-        counters.update(doc.get("counters", {}))
+    else:  # surrogate
         throughput = doc.get("throughput", {})
         if isinstance(throughput, dict):
             _scalar(
@@ -205,41 +185,12 @@ def normalize_bench(doc: Dict[str, Any]) -> Dict[str, Any]:
                 "guard_violations", "nominal_coverage",
             )
             scalars.update({f"recall.{k}": v for k, v in sub.items()})
-        scalars["problems"] = float(len(doc.get("problems", [])))
-    elif mode == "screen":
-        counters.update(doc.get("counters", {}))
-        compare = doc.get("compare", {})
-        if isinstance(compare, dict):
-            _scalar(
-                scalars, compare,
-                "dense_s", "screened_s", "speedup",
-                "dense_peak_mb", "screened_peak_mb", "memory_reduction",
-            )
-        large = doc.get("large", {})
-        if isinstance(large, dict):
-            _scalar(
-                scalars, large,
-                "screened_s", "screened_peak_mb",
-                "dense_gram_mb", "memory_reduction",
-                "uncaught_kkt_violations",
-            )
-        scalars["problems"] = float(len(doc.get("problems", [])))
-    else:  # monitor
-        failover = doc.get("failover", {})
-        if isinstance(failover, dict):
-            counters.update(failover.get("counters", {}))
-        _scalar(
-            scalars, doc,
-            "loop_s", "batch_s", "speedup",
-            "loop_cycles_per_s", "batch_cycles_per_s",
-            "events_total", "alarm_cycles_total",
-        )
-        scalars["problems"] = float(len(doc.get("problems", [])))
+    scalars["problems"] = float(len(doc.get("problems", [])))
 
     return {
         "kind": "bench",
         "mode": mode,
         "counters": {str(k): float(v) for k, v in counters.items()},
-        "timers": timers,
+        "timers": {},
         "scalars": scalars,
     }

@@ -1,11 +1,11 @@
 """Run-diff regression reporter: ``python -m repro.obs.report old new``.
 
 Loads two run artifacts — run manifests (``repro.obs.manifest/v*``,
-written by the experiment runner's ``--trace-out``) or benchmark
-reports (``BENCH_*.json`` from ``benchmarks/run_bench.py``, any mode)
-— aligns their counters, timers and scalar statistics, and emits an
-ASCII table plus an optional JSON verdict flagging deltas beyond
-configurable thresholds.
+written by the experiment runner's ``--trace-out``) or
+``repro.bench/v1`` reports (the tournament leaderboard and the
+surrogate study's ``BENCH_surrogate.json``) — aligns their counters,
+timers and scalar statistics, and emits an ASCII table plus an
+optional JSON verdict flagging deltas beyond configurable thresholds.
 
 Classification is by metric name, and every regression-eligible class
 is lower-is-better:
@@ -15,7 +15,7 @@ class      matched metrics                               default threshold
 ========== ============================================= ================
 latency    timer ``p99_s`` (and manifest timer entries)  +50 %
 iterations names containing ``iteration``                +25 %
-accuracy   ``relative_error``/``max_abs_error``/ME/WAE/TE +10 %
+accuracy   names with an ``error`` token, ME/WAE/TE      +10 %
 problems   ``problems`` / ``solver_problems`` counts      any increase
 info       wall-clock seconds, speedups, plain counters   never flagged
 ========== ============================================= ================
@@ -31,9 +31,7 @@ whose metrics *cannot be aligned*: a missing or malformed ``metrics``
 section, a non-numeric counter, a NaN/infinite metric value, or two
 same-mode runs recorded under different profiles each abort with a
 "cannot align" message instead of producing a diff that silently
-treats the bad value as "ok".  CI runs this non-blocking
-(``|| true``) against the committed BENCH baselines and archives the
-JSON verdict as a workflow artifact.
+treats the bad value as "ok".
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ __all__ = [
 REPORT_SCHEMA = "repro.obs.report/v1"
 
 #: Name tokens that mark a metric as an accuracy statistic.
-_ACCURACY_TOKENS = {"me", "wae", "te", "miss", "wrong_alarm"}
+_ACCURACY_TOKENS = {"error", "me", "wae", "te", "miss"}
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
@@ -115,11 +113,7 @@ def _classify(name: str) -> str:
         return "iterations"
     if "cache" in tokens:  # cache_miss is a hit-rate stat, not a miss *error*
         return "info"
-    if (
-        "relative_error" in lowered
-        or "max_abs_error" in lowered
-        or tokens & _ACCURACY_TOKENS
-    ):
+    if tokens & _ACCURACY_TOKENS:
         return "accuracy"
     return "info"
 
@@ -268,8 +262,8 @@ def _check_same_profile(old: Dict[str, Any], new: Dict[str, Any]) -> None:
 
     A quick smoke against a full baseline differs in workload size, so
     every wall-clock and latency delta between them is meaningless.
-    Profile names are per mode (``fast`` for a sweep, ``full`` for a
-    monitor bench), so runs of different modes are left to the
+    Profile names are per mode (``fast`` for a tournament, ``full`` for
+    a surrogate study), so runs of different modes are left to the
     mode-mismatch warning instead.
     """
     if old["mode"] != new["mode"]:
@@ -323,7 +317,7 @@ def diff_runs(
 
     Returns the JSON-ready verdict: ``{schema, comparable, rows,
     regressions, verdict}``.  ``comparable`` is False when the runs are
-    different kinds/modes (e.g. a sweep bench against a monitor bench)
+    different kinds/modes (e.g. a tournament against a surrogate study)
     — rows are still produced for whatever aligns, but the mismatch is
     called out so a wrong-baseline diff can't silently pass.
     """
@@ -439,7 +433,7 @@ def render_ascii(report: Dict[str, Any], all_rows: bool = False) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
-        description="Diff two run manifests or BENCH_*.json reports and "
+        description="Diff two run manifests or bench reports and "
         "flag regressions beyond configurable thresholds.",
     )
     parser.add_argument("old", help="baseline manifest or bench JSON")

@@ -9,6 +9,7 @@ dataset cache.
 import json
 import os
 import pickle
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -266,6 +267,32 @@ class TestGenerateMapsEngines:
         assert np.array_equal(par.voltages, seq.voltages)
 
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_fused_dataset_matches_sequential(self, n_jobs):
+        """The optimized engine (train and eval fused into one batch,
+        or benchmarks fanned over worker processes, which run each suite
+        on its own) gives the sequential reference's datasets: bit for
+        bit with the compiled kernel, within one float32 ulp on the
+        SuperLU fallback's blocked multi-RHS solve."""
+        reference = generate_dataset(CACHE_SETUP, batch=False)
+        with obs.use_registry(obs.MetricsRegistry()) as registry:
+            fused = generate_dataset(CACHE_SETUP, n_jobs=n_jobs)
+            counters = registry.snapshot()["counters"]
+        assert counters.get("datagen.fused_batch", 0) == (n_jobs == 1)
+        assert fused.critical == reference.critical
+        allowed_ulp = 0 if fused.chip.solver.uses_kernel else 1
+        for ref, got in (
+            (reference.train, fused.train),
+            (reference.eval, fused.eval),
+        ):
+            for a, b in ((ref.X, got.X), (ref.F, got.F)):
+                assert a.shape == b.shape
+                ai = np.asarray(a, dtype=np.float32).view(np.int32)
+                bi = np.asarray(b, dtype=np.float32).view(np.int32)
+                ulp = np.abs(ai.astype(np.int64) - bi.astype(np.int64))
+                assert ulp.max(initial=0) <= allowed_ulp
+
+
 class TestDatasetCache:
     def test_disabled_without_root(self, monkeypatch):
         monkeypatch.delenv("REPRO_DATASET_CACHE", raising=False)
@@ -280,8 +307,16 @@ class TestDatasetCache:
 
     def test_miss_then_hit_roundtrip(self, tmp_path):
         cache = str(tmp_path)
+        t0 = time.perf_counter()
+        generate_dataset(CACHE_SETUP)
+        uncached_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
         first = generate_dataset(CACHE_SETUP, cache_dir=cache)
+        cold_s = time.perf_counter() - t0
         assert not first.from_cache
+        # Storing the entry must not dominate generation (a generous
+        # bound: shared CI runners are noisy).
+        assert cold_s <= 2.0 * uncached_s + 2.0
         second = generate_dataset(CACHE_SETUP, cache_dir=cache)
         assert second.from_cache
         assert np.array_equal(first.train.X, second.train.X)

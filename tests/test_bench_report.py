@@ -23,61 +23,55 @@ from repro.obs.report import (
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+#: The committed report of each bench mode.
+COMMITTED = {
+    "surrogate": "BENCH_surrogate.json",
+    "tournament": os.path.join("results", "leaderboard.json"),
+}
 
-def _committed_bench(name):
-    path = os.path.join(REPO_ROOT, f"BENCH_{name}.json")
-    if not os.path.exists(path):
-        pytest.skip(f"{path} not committed")
+
+def _committed_bench(mode):
+    path = os.path.join(REPO_ROOT, COMMITTED[mode])
     with open(path) as fh:
         return path, json.load(fh)
 
 
+def _first_error_scalar(run):
+    """A per-placer error scalar of a normalized leaderboard."""
+    return next(
+        (k, v)
+        for k, v in run["scalars"].items()
+        if k.startswith("nominal_error")
+    )
+
+
 class TestBenchSchema:
-    @pytest.mark.parametrize("name", ["sweep", "datagen", "monitor", "screen"])
+    @pytest.mark.parametrize("name", sorted(COMMITTED))
     def test_committed_baselines_validate(self, name):
         _, doc = _committed_bench(name)
         assert validate_bench(doc) == []
         assert infer_mode(doc) == name
 
-    def test_quick_monitor_baseline_aligns_with_quick_runs(self):
-        # CI diffs its --monitor --quick smoke against this baseline;
-        # the full-profile one is refused as a profile mismatch.
-        quick, doc = _committed_bench("monitor_quick")
-        full, _ = _committed_bench("monitor")
-        assert validate_bench(doc) == []
-        assert infer_mode(doc) == "monitor"
-        assert doc["profile"] == "quick"
-        assert main([quick, quick]) == 0
-        assert main([full, quick]) == 2
-
-    def test_legacy_sweep_without_mode_is_inferred(self):
-        _, doc = _committed_bench("sweep")
-        doc.pop("mode", None)
-        doc.pop("schema", None)
-        assert infer_mode(doc) == "sweep"
-        assert validate_bench(doc) == []
-
     def test_stamp_sets_schema_and_mode(self):
-        # Only the legacy sweep layout is inferrable without a mode tag;
-        # a datagen/monitor doc must keep its explicit mode.
-        _, doc = _committed_bench("sweep")
-        doc.pop("mode", None)
+        _, doc = _committed_bench("surrogate")
         doc.pop("schema", None)
         stamp_bench(doc)
         assert doc["schema"] == BENCH_SCHEMA
-        assert doc["mode"] == "sweep"
+        assert doc["mode"] == "surrogate"
 
     def test_unrecognizable_doc_raises(self):
         with pytest.raises(ValueError):
             infer_mode({"hello": "world"})
+        with pytest.raises(ValueError):
+            infer_mode({"mode": "sweep"})  # a retired mode
 
     def test_missing_required_field_reported(self):
-        _, doc = _committed_bench("datagen")
-        doc.pop("speedup")
+        _, doc = _committed_bench("surrogate")
+        doc.pop("recall")
         problems = validate_bench(doc)
-        assert any("speedup" in p for p in problems)
+        assert any("recall" in p for p in problems)
 
-    @pytest.mark.parametrize("name", ["sweep", "datagen", "monitor", "screen"])
+    @pytest.mark.parametrize("name", sorted(COMMITTED))
     def test_normalize_shape(self, name):
         _, doc = _committed_bench(name)
         norm = normalize_bench(doc)
@@ -90,20 +84,16 @@ class TestBenchSchema:
 
 class TestDiffRuns:
     def test_self_diff_has_no_regressions(self):
-        _, doc = _committed_bench("sweep")
+        _, doc = _committed_bench("tournament")
         report = diff_runs(load_run_doc(doc), load_run_doc(doc))
         assert report["verdict"] == "ok"
         assert report["regressions"] == []
 
     def test_injected_accuracy_regression_flagged(self):
-        _, doc = _committed_bench("sweep")
+        _, doc = _committed_bench("tournament")
         old = load_run_doc(doc)
         new = copy.deepcopy(old)
-        name, value = next(
-            (k, v)
-            for k, v in new["scalars"].items()
-            if k.startswith("relative_error")
-        )
+        name, value = _first_error_scalar(new)
         new["scalars"][name] = value * 2.0
         report = diff_runs(old, new)
         assert report["verdict"] == "regression"
@@ -112,51 +102,42 @@ class TestDiffRuns:
         )
 
     def test_within_threshold_delta_is_ok(self):
-        _, doc = _committed_bench("sweep")
+        _, doc = _committed_bench("tournament")
         old = load_run_doc(doc)
         new = copy.deepcopy(old)
-        name, value = next(
-            (k, v)
-            for k, v in new["scalars"].items()
-            if k.startswith("relative_error")
-        )
+        name, value = _first_error_scalar(new)
         new["scalars"][name] = value * 1.05  # inside the 10% accuracy gate
         assert diff_runs(old, new)["verdict"] == "ok"
 
     def test_custom_thresholds(self):
-        _, doc = _committed_bench("sweep")
+        _, doc = _committed_bench("tournament")
         old = load_run_doc(doc)
         new = copy.deepcopy(old)
-        name, value = next(
-            (k, v)
-            for k, v in new["scalars"].items()
-            if k.startswith("relative_error")
-        )
+        name, value = _first_error_scalar(new)
         new["scalars"][name] = value * 1.05
         tight = Thresholds(accuracy=0.01)
         assert diff_runs(old, new, tight)["verdict"] == "regression"
 
     def test_wall_clock_scalars_are_info_only(self):
-        _, doc = _committed_bench("sweep")
+        _, doc = _committed_bench("tournament")
         old = load_run_doc(doc)
         new = copy.deepcopy(old)
-        for key in ("engine_s", "baseline_s", "datagen_s"):
-            if key in new["scalars"]:
-                new["scalars"][key] = new["scalars"][key] * 100
+        scaled = [k for k in new["scalars"] if k.startswith("place_s")]
+        assert scaled
+        for key in scaled:
+            new["scalars"][key] = new["scalars"][key] * 100
         assert diff_runs(old, new)["verdict"] == "ok"
 
     def test_problem_counter_increase_always_flags(self):
-        _, doc = _committed_bench("sweep")
+        _, doc = _committed_bench("tournament")
         old = load_run_doc(doc)
         new = copy.deepcopy(old)
-        new["scalars"]["solver_problems"] = (
-            old["scalars"].get("solver_problems", 0) + 1
-        )
+        new["scalars"]["problems"] = old["scalars"]["problems"] + 1
         report = diff_runs(old, new)
         assert report["verdict"] == "regression"
 
     def test_render_ascii_mentions_verdict(self):
-        _, doc = _committed_bench("sweep")
+        _, doc = _committed_bench("tournament")
         run = load_run_doc(doc)
         text = render_ascii(diff_runs(run, run))
         assert "OK" in text
@@ -176,27 +157,27 @@ class TestReportCLI:
         return str(path)
 
     def test_self_diff_exit_zero(self, tmp_path, capsys):
-        path, _ = _committed_bench("sweep")
+        path, _ = _committed_bench("tournament")
         assert main([path, path]) == 0
         out = capsys.readouterr().out
         assert "OK" in out
 
     def test_injected_regression_exit_one(self, tmp_path, capsys):
-        path, doc = _committed_bench("sweep")
+        path, doc = _committed_bench("tournament")
         bad = copy.deepcopy(doc)
-        for point in bad["engine_points"]:
-            point["relative_error"] = point["relative_error"] * 2.0
+        for entry in bad["entries"]:
+            entry["nominal"]["relative_error"] *= 2.0
         bad_path = self._write(tmp_path, "new.json", bad)
         assert main([path, bad_path]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_unreadable_input_exit_two(self, tmp_path, capsys):
         garbage = self._write(tmp_path, "garbage.json", {"nope": 1})
-        path, _ = _committed_bench("sweep")
+        path, _ = _committed_bench("tournament")
         assert main([path, garbage]) == 2
 
     def test_json_output(self, tmp_path, capsys):
-        path, _ = _committed_bench("sweep")
+        path, _ = _committed_bench("tournament")
         out_path = tmp_path / "diff.json"
         assert main([path, path, "--json", str(out_path)]) == 0
         saved = json.loads(out_path.read_text())
@@ -204,10 +185,10 @@ class TestReportCLI:
         assert saved["schema"].startswith("repro.obs.report/")
 
     def test_threshold_flags(self, tmp_path):
-        path, doc = _committed_bench("sweep")
+        path, doc = _committed_bench("tournament")
         worse = copy.deepcopy(doc)
-        for point in worse["engine_points"]:
-            point["relative_error"] = point["relative_error"] * 1.05
+        for entry in worse["entries"]:
+            entry["nominal"]["relative_error"] *= 1.05
         worse_path = self._write(tmp_path, "worse.json", worse)
         assert main([path, worse_path]) == 0
         assert main([path, worse_path, "--accuracy-tol", "0.01"]) == 1
@@ -240,9 +221,9 @@ class TestReportCLI:
         assert "REGRESSION" in out
 
     def test_mode_mismatch_warns_but_compares(self, tmp_path, capsys):
-        sweep_path, _ = _committed_bench("sweep")
-        datagen_path, _ = _committed_bench("datagen")
-        code = main([sweep_path, datagen_path])
+        tournament_path, _ = _committed_bench("tournament")
+        surrogate_path, _ = _committed_bench("surrogate")
+        code = main([tournament_path, surrogate_path])
         out = capsys.readouterr().out
         assert "WARNING" in out
         assert code in (0, 1)
@@ -287,14 +268,14 @@ class TestCannotAlign:
         assert "cannot align" in capsys.readouterr().err
 
     def test_nan_bench_scalar_exit_two(self, tmp_path, capsys):
-        path, doc = _committed_bench("sweep")
+        path, doc = _committed_bench("tournament")
         bad = copy.deepcopy(doc)
-        bad["engine_s"] = float("nan")
+        bad["entries"][0]["overall_error"] = float("nan")
         bad_path = self._write(tmp_path, "bad.json", bad)
         assert main([path, bad_path]) == 2
         err = capsys.readouterr().err
         assert "cannot align" in err
-        assert "engine_s" in err
+        assert "overall_error" in err
 
     def test_non_numeric_counter_exit_two(self, tmp_path, capsys):
         good = _worked_manifest()
@@ -322,9 +303,11 @@ class TestCannotAlign:
     def test_empty_workers_datagen_loads_and_diffs_ok(self, tmp_path, capsys):
         # An empty worker list is a legitimate single-process run, not
         # an alignment failure.
-        path, doc = _committed_bench("datagen")
-        empty = copy.deepcopy(doc)
+        pooled = _worked_manifest()
+        pooled["workers"] = [{"worker": 1, "benchmarks": ["x264"]}]
+        empty = copy.deepcopy(pooled)
         empty["workers"] = []
+        path = self._write(tmp_path, "pooled.json", pooled)
         empty_path = self._write(tmp_path, "empty.json", empty)
         assert main([path, empty_path]) == 0
         assert "OK" in capsys.readouterr().out
@@ -332,7 +315,7 @@ class TestCannotAlign:
     def test_profile_mismatch_exit_two(self, tmp_path, capsys):
         # A quick smoke diffed against a full baseline must not report
         # its smaller wall times as "improved".
-        path, doc = _committed_bench("monitor")
+        path, doc = _committed_bench("tournament")
         quick = copy.deepcopy(doc)
         quick["profile"] = "quick"
         quick_path = self._write(tmp_path, "quick.json", quick)
@@ -341,7 +324,7 @@ class TestCannotAlign:
         assert f"cannot align: profile mismatch ({doc['profile']} vs quick)" in err
 
     def test_profile_absent_on_one_side_still_diffs(self, tmp_path, capsys):
-        path, doc = _committed_bench("monitor")
+        path, doc = _committed_bench("tournament")
         bare = copy.deepcopy(doc)
         del bare["profile"]
         bare_path = self._write(tmp_path, "bare.json", bare)

@@ -9,6 +9,8 @@ import repro.core.lambda_sweep as lambda_sweep
 from repro.core.lambda_sweep import fit_for_sensor_count, sweep_lambda
 from repro.core.pipeline import PipelineConfig, fit_placement
 from repro.core.predictor import VoltagePredictor
+from repro.experiments.config import FAST_SETUP
+from repro.experiments.data_generation import generate_dataset
 from repro.voltage.metrics import mean_relative_error
 from tests.conftest import make_synthetic_dataset
 
@@ -95,6 +97,24 @@ class TestSweepLambda:
                 f.model.sensor_candidate_cols.tolist()
                 == r.model.sensor_candidate_cols.tolist()
             )
+
+    def test_fast_profile_solves_converge_within_budget(self):
+        # Every scope solve of a fast-profile sweep must converge and
+        # stay inside its budget to the configured tolerance.
+        data = generate_dataset(FAST_SETUP)
+        points = sweep_lambda(
+            data.train,
+            [1.0, 2.0, 3.0],
+            base_config=PipelineConfig(budget=1.0),
+            rng=0,
+        )
+        for point in points:
+            rtol = point.model.config.rtol
+            for scope in point.model.scopes:
+                gl = scope.selection.gl_result
+                where = f"budget {point.budget}, core {scope.core_index}"
+                assert gl.converged, where
+                assert gl.norm_sum() <= gl.budget * (1.0 + rtol) + 1e-12, where
 
 
 class TestFitForSensorCount:

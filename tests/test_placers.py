@@ -320,10 +320,8 @@ def test_spacing_shorthand_equals_constraints(ds):
 
 def test_capability_flags():
     assert get_placer("group_lasso").supports_warm_start
-    assert get_placer("group_lasso").supports_screening
     assert get_placer("random").uses_rng
     assert not get_placer("worst_noise").uses_rng
-    assert not get_placer("qr_pivot").supports_screening
 
 
 class TestGroupLassoWarmStart:

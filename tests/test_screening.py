@@ -21,7 +21,11 @@ from repro.core.group_lasso import (
 from repro.core.lambda_sweep import sweep_lambda
 from repro.core.path_engine import LambdaPathEngine
 from repro.core.pipeline import PipelineConfig, fit_placement
-from repro.core.selection import prepare_stats, select_sensors
+from repro.core.selection import (
+    DEFAULT_THRESHOLD,
+    prepare_stats,
+    select_sensors,
+)
 
 from tests.conftest import make_synthetic_dataset
 
@@ -35,6 +39,86 @@ def _problem(seed=0, n=300, m=60, k=4, active=(3, 17, 42), noise=0.01):
     coef[:, list(active)] = rng.standard_normal((k, len(active)))
     G = Z @ coef.T + noise * rng.standard_normal((n, k))
     return Z, G
+
+
+#: Budget path of the screened-sweep audits (here and in
+#: benchmarks/test_screening.py).
+SWEEP_BUDGETS = (0.5, 1.0, 2.0, 3.0)
+
+
+def sweep_problem(
+    n_candidates, seed=0, n_samples=240, n_responses=4, n_active=8
+):
+    """Sparse selection problem with ``n_candidates`` unit-norm groups.
+
+    Columns are centered and unit-normalized (what the pipeline's
+    standardizer produces), so the solver sees its usual scaling.
+    """
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((n_samples, n_candidates))
+    Z -= Z.mean(axis=0)
+    Z /= np.linalg.norm(Z, axis=0)
+    active = rng.choice(n_candidates, size=n_active, replace=False)
+    coef = np.zeros((n_responses, n_candidates))
+    coef[:, active] = rng.standard_normal((n_responses, n_active))
+    G = Z @ coef.T + 0.01 * rng.standard_normal((n_samples, n_responses))
+    return Z, G
+
+
+def budget_sweep(Z, G, screen):
+    """Warm-started constrained sweep; returns (selected sets, results).
+
+    Builds its own statistics (lazy when screening), so a memory
+    window around the call sees the whole per-path footprint.
+    """
+    stats = SufficientStats.from_arrays(Z, G, lazy=screen)
+    screener = StrongRuleScreener(stats) if screen else None
+    warm = None
+    sets, results = [], []
+    for budget in SWEEP_BUDGETS:
+        res = group_lasso_constrained(
+            Z, G, budget, stats=stats, warm=warm, screen=screener
+        )
+        warm = WarmState(coef=res.coef.copy(), penalty=res.penalty)
+        sets.append(
+            tuple(np.nonzero(res.group_norms() > DEFAULT_THRESHOLD)[0].tolist())
+        )
+        results.append(res)
+    return sets, results
+
+
+def uncaught_kkt(Z, G, results):
+    """Exact post-hoc KKT audit of screened solutions.
+
+    Counts inactive groups whose dual residual norm exceeds the penalty
+    beyond solver noise: a screened-out group the safeguard should have
+    re-admitted.
+    """
+    stats = SufficientStats.from_arrays(Z, G, lazy=True)
+    uncaught = 0
+    for res in results:
+        if res.penalty <= 0:
+            continue
+        active = res.active_groups()
+        c_norms = np.linalg.norm(stats.dual_residual(res.coef, active), axis=1)
+        inactive = np.ones(c_norms.shape[0], dtype=bool)
+        inactive[active] = False
+        uncaught += int(np.sum(c_norms[inactive] > res.penalty * (1.0 + 1e-6)))
+    return uncaught
+
+
+class TestScreenedSweepAudit:
+    def test_dense_and_screened_sweeps_select_identically(self):
+        Z, G = sweep_problem(600, seed=0)
+        dense_sets, _ = budget_sweep(Z, G, screen=False)
+        screened_sets, results = budget_sweep(Z, G, screen=True)
+        assert screened_sets == dense_sets
+        assert uncaught_kkt(Z, G, results) == 0
+
+    def test_large_screened_sweep_has_no_kkt_violation(self):
+        Z, G = sweep_problem(20000, seed=1)
+        _, results = budget_sweep(Z, G, screen=True)
+        assert uncaught_kkt(Z, G, results) == 0
 
 
 class TestLazyStats:

@@ -3,20 +3,17 @@
 Covers the conformal-calibration math (:mod:`repro.surrogate.calibrate`),
 the regressor contract (:mod:`repro.surrogate.model`), scenario spaces
 (:mod:`repro.surrogate.scenarios`), sweep-config validation, the
-``emit_bench`` tail shared by every ``benchmarks/run_bench.py`` mode,
-and the pinned fast-profile sweep replayed against
+``emit_bench`` tail shared by both bench-report CLIs, and the pinned fast-profile sweep replayed against
 ``tests/golden/golden_surrogate.json`` (tolerance policy in
 ``tests/golden/README.md``).
 """
 
-import importlib.util
 import json
-import os
 
 import numpy as np
 import pytest
 
-from repro.obs.benchjson import MODES, stamp_bench, validate_bench
+from repro.obs.benchjson import MODES, emit_bench, stamp_bench, validate_bench
 from repro.surrogate import (
     GridVariant,
     ScenarioSpace,
@@ -276,33 +273,10 @@ class TestSweepConfig:
             SweepConfig(**kwargs)
 
 
-# ------------------------------------------------- run_bench emit contract
-@pytest.fixture(scope="module")
-def run_bench():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.path.join(root, "benchmarks", "run_bench.py")
-    spec = importlib.util.spec_from_file_location("run_bench_under_test", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
+# ------------------------------------------------------ emit_bench contract
 #: One minimal structurally-valid report per bench mode.  Adding a mode
 #: to MODES without a stub here fails the exhaustiveness assertion.
 _MODE_STUBS = {
-    "sweep": {
-        "budgets": [1.0], "engine_s": 0.1, "counters": {},
-        "engine_points": [],
-    },
-    "datagen": {
-        "reference_s": 1.0, "optimized_s": 0.5, "speedup": 2.0,
-        "equality": {}, "counters": {}, "problems": [],
-    },
-    "monitor": {
-        "loop_s": 1.0, "batch_s": 0.1, "speedup": 10.0,
-        "identity": {}, "failover": {}, "problems": [],
-    },
-    "screen": {"compare": {}, "large": {}, "counters": {}, "problems": []},
     "tournament": {
         "budget": 1.0, "placers": [], "scenarios": {}, "entries": [],
         "problems": [],
@@ -318,34 +292,59 @@ class TestEmitBench:
         assert set(_MODE_STUBS) == set(MODES)
 
     @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_every_mode_validates_and_emits(self, run_bench, mode, tmp_path):
+    def test_every_mode_validates_and_emits(self, mode, tmp_path):
         report = {"mode": mode, **_MODE_STUBS[mode]}
         assert validate_bench(stamp_bench(dict(report))) == []
         out = tmp_path / f"BENCH_{mode}.json"
-        assert run_bench.emit_bench(dict(report), str(out)) == 0
+        assert emit_bench(dict(report), str(out)) == 0
         written = json.loads(out.read_text())
         assert written["mode"] == mode
         assert written["schema"] == "repro.bench/v1"
 
-    def test_invalid_report_refused(self, run_bench):
+    def test_invalid_report_refused(self):
         report = {"mode": "surrogate"}  # missing required fields
         with pytest.raises(SystemExit, match="invalid bench report"):
-            run_bench.emit_bench(report)
+            emit_bench(report)
 
-    def test_problems_drive_exit_code(self, run_bench):
+    def test_problems_drive_exit_code(self, capsys):
         report = {"mode": "surrogate", **_MODE_STUBS["surrogate"]}
-        problems = [{"kind": "guard_bound_violation"}]
-        assert run_bench.emit_bench(dict(report), problems=problems) == 1
-        assert (
-            run_bench.emit_bench(
-                dict(report), problems=problems, fail_on_problems=False
-            )
-            == 0
+        report["problems"] = [{"kind": "guard_bound_violation"}]
+        assert emit_bench(report) == 1
+        assert "guard_bound_violation" in capsys.readouterr().out
+
+    def test_validates_even_without_out(self):
+        report = {"mode": "surrogate", **_MODE_STUBS["surrogate"]}
+        assert emit_bench(dict(report)) == 0
+
+    @pytest.mark.parametrize("problems", [[], [{"kind": "worst_case_missed"}]])
+    def test_study_cli_writes_report_and_exit_code(
+        self, monkeypatch, tmp_path, problems
+    ):
+        from repro.experiments import surrogate_study
+
+        section = {
+            "profile": "p", "model": "ridge", "top_k": 4,
+            "screen_scenarios_per_min": 600.0,
+            "exact_scenarios_per_min": 6.0, "speedup": 100.0,
+            "guard_violations": 0, "nominal_coverage": 0.9,
+            "recall_at_k": 0.5, "worst_case_hit": int(not problems),
+            "rank_agreement": 0.4,
+        }
+        report = {
+            "mode": "surrogate", "profile": "quick", "throughput": section,
+            "recall": section, "counters": {}, "problems": problems,
+        }
+        calls = []
+        monkeypatch.setattr(
+            surrogate_study,
+            "run_surrogate_study",
+            lambda quick: calls.append(quick) or dict(report),
         )
-
-    def test_validates_even_without_out(self, run_bench):
-        report = {"mode": "surrogate", **_MODE_STUBS["surrogate"]}
-        assert run_bench.emit_bench(dict(report)) == 0
+        out = tmp_path / "BENCH_surrogate.json"
+        code = surrogate_study.main(["--quick", "--out", str(out)])
+        assert calls == [True]
+        assert code == int(bool(problems))
+        assert json.loads(out.read_text())["problems"] == problems
 
 
 # ------------------------------------------------------- golden regression

@@ -18,7 +18,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.experiments import tournament
 from repro.experiments.tournament import (
+    DEFAULT_PLACERS,
     TournamentConfig,
     render_leaderboard_markdown,
     run_tournament,
@@ -182,6 +184,40 @@ def test_committed_leaderboard_meets_coverage_floor():
         assert {"miss", "wrong_alarm", "total"} <= set(entry["nominal"])
         assert entry["worst_degraded_error"] is not None
         assert np.isfinite(entry["overall_error"])
+
+
+def test_quick_cli_writes_leaderboard_documents(tmp_path, capsys):
+    out = tmp_path / "leaderboard.json"
+    markdown = tmp_path / "leaderboard.md"
+    code = tournament.main(
+        ["--quick", "--out", str(out), "--markdown", str(markdown)]
+    )
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert validate_bench(doc) == []
+    assert doc["profile"] == "tournament-quick"
+    assert doc["problems"] == []
+    assert sorted(e["placer"] for e in doc["entries"]) == sorted(
+        DEFAULT_PLACERS
+    )
+    assert doc["counters"]
+    for placer in DEFAULT_PLACERS:
+        assert f"| {placer} |" in markdown.read_text()
+    assert "tournament:" in capsys.readouterr().out
+
+
+def test_cli_exits_nonzero_when_a_placer_fails(monkeypatch, capsys):
+    monkeypatch.setattr(
+        tournament,
+        "TournamentConfig",
+        lambda **_: TournamentConfig(
+            placers=("worst_noise", "no_such_placer"),
+            n_variation=0,
+            fault_modes=(),
+        ),
+    )
+    assert tournament.main(["--quick"]) == 1
+    assert "no_such_placer" in capsys.readouterr().out
 
 
 class TestVariationRefit:
