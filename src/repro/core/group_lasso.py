@@ -15,18 +15,22 @@ sensors.
 This module implements the problem from scratch (no sklearn):
 
 * :func:`group_lasso_penalized` solves the equivalent Lagrangian form
-  ``min 1/2 ||G - Z B^T||_F^2 + mu * sum_m ||B_m||_2`` by block
-  coordinate descent with exact closed-form group updates (features are
-  expected standardized, but the solver handles general scaling).
+  ``min 1/2 ||G - Z B^T||_F^2 + mu * sum_m ||B_m||_2`` by FISTA with
+  adaptive restart, all group proximal updates vectorized (features
+  are expected standardized, but the solver handles general scaling).
 * :func:`group_lasso_constrained` recovers the paper's budget form by a
   monotone bisection on ``mu`` such that ``sum_m ||B_m||_2`` meets the
   budget ``lambda`` — Lagrangian duality makes the mapping monotone.
+  With loose bracket probes (``probe_tol``), its feasibility verdicts
+  are certified by a second-order active-set refiner
+  (:func:`_active_refine`), which ends on a clean KKT check.
 
-Unlike the interior-point SOCP solver the paper references, coordinate
-descent returns *exactly* zero columns for unselected sensors, so the
-selection threshold T separates selected from unselected sensors by
-construction (the paper's Fig. 1 shows the same separation with tiny
-numerical residues instead of exact zeros).
+Unlike the interior-point SOCP solver the paper references, the
+solver returns *exactly* zero columns for unselected sensors (FISTA's
+sub-tolerance residues are zeroed), so the selection threshold T
+separates selected from unselected sensors by construction (the
+paper's Fig. 1 shows the same separation with tiny numerical residues
+instead of exact zeros).
 """
 
 from __future__ import annotations
@@ -51,6 +55,11 @@ __all__ = [
     "group_lasso_constrained",
 ]
 
+#: Bisection steps on the dual penalty per constrained solve.
+_MAX_BISECTIONS = 40
+#: Dense survivor slices a :class:`StrongRuleScreener` keeps cached.
+_MAX_SLICES = 16
+
 
 @dataclass
 class GroupLassoResult:
@@ -69,9 +78,9 @@ class GroupLassoResult:
     objective:
         Final penalized objective value.
     n_iterations:
-        Block-coordinate sweeps performed.
+        FISTA iterations performed.
     converged:
-        Whether the sweep-to-sweep tolerance was met.
+        Whether the iteration-to-iteration tolerance was met.
     final_residual:
         Relative coefficient change at the last iteration (the
         convergence criterion value); 0.0 for solves that needed no
@@ -196,12 +205,12 @@ class SufficientStats:
         """Smallest penalty at which the all-zero solution is optimal.
 
         Each group's activation threshold at ``B = 0`` is ``||A[m]||_2``
-        (both solvers zero group ``m`` exactly when the residual
+        (the solver zeroes group ``m`` exactly when the residual
         correlation norm is ``<= mu``), so the max row norm of ``A`` is
-        the path start: ``B(mu_max) == 0`` exactly, for FISTA and BCD
-        alike — pinned by regression tests, and the soundness anchor of
-        the sequential strong rule's step 0 (whose reference residuals
-        are the rows of ``A`` themselves).
+        the path start: ``B(mu_max) == 0`` exactly — pinned by
+        regression tests, and the soundness anchor of the sequential
+        strong rule's step 0 (whose reference residuals are the rows of
+        ``A`` themselves).
         """
         if self.A.size == 0:
             return 0.0
@@ -209,10 +218,10 @@ class SufficientStats:
         top = float(norms.max())
         if top == 0.0:
             return 0.0
-        # The BCD sweep measures each residual row with the 1-D norm
-        # kernel, whose summation order can land one ulp above the
-        # axis-reduced value computed here; re-measure the near-max rows
-        # with that same kernel so no group's threshold exceeds mu_max.
+        # A single residual row measured with the 1-D norm kernel can
+        # land one ulp above the axis-reduced value computed here (the
+        # summation order differs); re-measure the near-max rows with
+        # that kernel so no group's threshold exceeds mu_max.
         near = np.nonzero(norms >= top * (1.0 - 1e-12))[0]
         return max(top, *(float(np.linalg.norm(self.A[m])) for m in near))
 
@@ -358,7 +367,7 @@ class StrongRuleScreener:
     :attr:`n_dropped` / :attr:`n_violations` for registry-free callers.
     """
 
-    def __init__(self, stats: SufficientStats, max_slices: int = 16) -> None:
+    def __init__(self, stats: SufficientStats) -> None:
         self.stats = stats
         self.c_norms = (
             np.linalg.norm(stats.A, axis=1)
@@ -370,7 +379,6 @@ class StrongRuleScreener:
         self.n_violations = 0
         self._slices: "dict[bytes, SufficientStats]" = {}
         self._slice_order: "list[bytes]" = []
-        self._max_slices = max(1, int(max_slices))
 
     def survivors(self, mu: float, keep: np.ndarray) -> np.ndarray:
         """Strong-rule survivor set at ``mu`` (always includes ``keep``)."""
@@ -389,7 +397,7 @@ class StrongRuleScreener:
             sub = self.stats.slice(cols)
             self._slices[key] = sub
             self._slice_order.append(key)
-            while len(self._slice_order) > self._max_slices:
+            while len(self._slice_order) > _MAX_SLICES:
                 self._slices.pop(self._slice_order.pop(0), None)
         return sub
 
@@ -405,7 +413,6 @@ def _solve_screened(
     max_iter: int,
     tol: float,
     warm_start: Optional[np.ndarray],
-    method: str,
 ) -> GroupLassoResult:
     """One screened penalized solve: slice, solve, KKT-check, re-admit."""
     check_positive(mu, "mu")
@@ -433,7 +440,7 @@ def _solve_screened(
         sub = screener.slice(surv)
         res = group_lasso_penalized(
             None, None, mu, max_iter=max_iter, tol=tol,
-            warm_start=warm[:, surv], method=method, stats=sub,
+            warm_start=warm[:, surv], stats=sub,
         )
         B = np.zeros((n_responses, n_features))
         B[:, surv] = res.coef
@@ -530,50 +537,6 @@ def _objective(
     Aa = A[active, :]
     fit = gram_G - 2.0 * float(np.sum(Ba * Aa.T)) + float(np.sum((Ba @ Sa) * Ba))
     return 0.5 * fit + mu * float(np.linalg.norm(Ba, axis=0).sum())
-
-
-def _sweep(
-    B: np.ndarray,
-    groups: np.ndarray,
-    S: np.ndarray,
-    A: np.ndarray,
-    diag_S: np.ndarray,
-    mu: float,
-) -> float:
-    """One pass of block updates over ``groups``; returns max coef change."""
-    max_delta = 0.0
-    active_mask = np.linalg.norm(B, axis=0) > 0
-    active_idx = np.nonzero(active_mask)[0]
-    for m in groups:
-        s_mm = diag_S[m]
-        if s_mm <= 1e-15:
-            # Constant/empty feature: it cannot explain anything.
-            if active_mask[m]:
-                B[:, m] = 0.0
-                active_mask[m] = False
-                active_idx = np.nonzero(active_mask)[0]
-            continue
-        # Residual correlation c_m = A[m] - sum_{j != m} B_j * S[j, m].
-        if active_idx.size:
-            c = A[m] - B[:, active_idx] @ S[active_idx, m]
-        else:
-            c = A[m].copy()
-        if active_mask[m]:
-            c = c + B[:, m] * s_mm
-        norm_c = float(np.linalg.norm(c))
-        if norm_c <= mu:
-            new_col = np.zeros(B.shape[0])
-        else:
-            new_col = (1.0 - mu / norm_c) * c / s_mm
-        delta = float(np.max(np.abs(new_col - B[:, m]))) if B.shape[0] else 0.0
-        if delta > 0:
-            B[:, m] = new_col
-            now_active = bool(np.any(new_col))
-            if now_active != active_mask[m]:
-                active_mask[m] = now_active
-                active_idx = np.nonzero(active_mask)[0]
-        max_delta = max(max_delta, delta)
-    return max_delta
 
 
 def _spectral_bound(S: np.ndarray, n_iter: int = 80, seed: int = 0) -> float:
@@ -952,7 +915,6 @@ def group_lasso_penalized(
     max_iter: int = 20000,
     tol: float = 1e-7,
     warm_start: Optional[np.ndarray] = None,
-    method: str = "fista",
     stats: Optional[SufficientStats] = None,
     screen: Optional[StrongRuleScreener] = None,
 ) -> GroupLassoResult:
@@ -969,7 +931,7 @@ def group_lasso_penalized(
     mu:
         Group penalty weight (>= 0; 0 reduces to OLS on all features).
     max_iter:
-        Iteration cap (FISTA iterations or coordinate sweeps).
+        FISTA iteration cap.
     tol:
         Convergence threshold on the largest coefficient change per
         iteration, relative to the largest coefficient magnitude.
@@ -977,12 +939,6 @@ def group_lasso_penalized(
         Optional ``(K, M)`` initial coefficients (e.g. the solution at
         a nearby ``mu``), which makes penalty sweeps dramatically
         faster.
-    method:
-        ``"fista"`` (default) — accelerated proximal gradient with all
-        group updates vectorized; robust to the near-collinear features
-        power-grid voltages produce.  ``"bcd"`` — classic block
-        coordinate descent with exact closed-form block updates; exact
-        sparsity, but slow when many correlated groups are active.
     stats:
         Optional precomputed :class:`SufficientStats` for ``(Z, G)``.
         When given, no Gram matrix is recomputed (``Z``/``G`` are not
@@ -1004,23 +960,24 @@ def group_lasso_penalized(
 
     Notes
     -----
-    Both methods solve the same convex problem; tests cross-validate
-    them against each other.  FISTA leaves tiny (sub-``tol``) residues
-    on inactive groups, which are zeroed before returning so both
-    methods report exact group sparsity.
+    FISTA (accelerated proximal gradient, all group updates
+    vectorized) is robust to the near-collinear features power-grid
+    voltages produce.  It leaves tiny (sub-``tol``) residues on
+    inactive groups, which are zeroed before returning so the result
+    reports exact group sparsity.  Tests check returned solutions
+    against the KKT conditions at their ``penalty``, a certificate
+    that does not depend on the solver.
     """
     check_non_negative(mu, "mu")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     check_positive(tol, "tol")
-    if method not in ("fista", "bcd"):
-        raise ValueError(f"unknown method {method!r}; use 'fista' or 'bcd'")
     if screen is not None:
         if stats is not None and stats is not screen.stats:
             raise ValueError(
                 "stats and screen.stats must be the same object"
             )
-        return _solve_screened(screen, mu, max_iter, tol, warm_start, method)
+        return _solve_screened(screen, mu, max_iter, tol, warm_start)
     stats_reused = stats is not None
     if stats is None:
         if Z is None or G is None:
@@ -1031,7 +988,7 @@ def group_lasso_penalized(
             "lazy SufficientStats require screening; pass screen= or "
             "solve on a slice()"
         )
-    S, A, diag_S, gram_G = stats.S, stats.A, stats.diag_S, stats.gram_G
+    S, A, gram_G = stats.S, stats.A, stats.gram_G
     n_features = stats.n_features
     n_responses = stats.n_responses
 
@@ -1046,43 +1003,17 @@ def group_lasso_penalized(
 
     registry = get_registry()
     _t0 = _time.perf_counter() if registry.enabled else 0.0
-    if method == "fista":
-        B, sweeps, converged, residual = _fista(
-            B, S, A.T.copy(), mu, max_iter, tol, L=stats.lipschitz
-        )
-        # Zero out sub-threshold residues so inactive groups are exactly
-        # zero, matching the BCD sparsity pattern.  At the optimum,
-        # inactive groups satisfy ||grad_m|| <= mu strictly; their FISTA
-        # residues are O(tol) while active groups are O(1).
-        if mu > 0:
-            norms = np.linalg.norm(B, axis=0)
-            scale = max(1.0, float(norms.max()) if norms.size else 1.0)
-            B[:, norms <= 10.0 * tol * scale] = 0.0
-    else:
-        all_groups = np.arange(n_features)
-        converged = False
-        sweeps = 0
-        residual = 0.0
-        while sweeps < max_iter:
-            # Full sweep: may activate/deactivate any group.
-            delta = _sweep(B, all_groups, S, A, diag_S, mu)
-            sweeps += 1
-            scale = max(1.0, float(np.max(np.abs(B))) if B.size else 1.0)
-            residual = delta / scale
-            if delta <= tol * scale:
-                converged = True
-                break
-            # Inner sweeps on the active set only (cheap).
-            while sweeps < max_iter:
-                active = np.nonzero(np.linalg.norm(B, axis=0) > 0)[0]
-                if active.size == 0:
-                    break
-                delta = _sweep(B, active, S, A, diag_S, mu)
-                sweeps += 1
-                scale = max(1.0, float(np.max(np.abs(B))))
-                residual = delta / scale
-                if delta <= tol * scale:
-                    break
+    B, sweeps, converged, residual = _fista(
+        B, S, A.T.copy(), mu, max_iter, tol, L=stats.lipschitz
+    )
+    # Zero out sub-threshold residues so inactive groups are exactly
+    # zero.  At the optimum, inactive groups satisfy ||grad_m|| <= mu
+    # strictly; their FISTA residues are O(tol) while active groups
+    # are O(1).
+    if mu > 0:
+        norms = np.linalg.norm(B, axis=0)
+        scale = max(1.0, float(norms.max()) if norms.size else 1.0)
+        B[:, norms <= 10.0 * tol * scale] = 0.0
 
     if registry.enabled:
         registry.timer("group_lasso.penalized").record(
@@ -1109,10 +1040,8 @@ def group_lasso_constrained(
     G: Optional[np.ndarray],
     budget: float,
     rtol: float = 1e-2,
-    max_bisections: int = 40,
     solver_max_iter: int = 20000,
     solver_tol: float = 1e-7,
-    method: str = "fista",
     stats: Optional[SufficientStats] = None,
     warm: Optional[WarmState] = None,
     probe_tol: Optional[float] = None,
@@ -1134,9 +1063,7 @@ def group_lasso_constrained(
         budget.  Larger budgets admit more sensors.
     rtol:
         Relative tolerance (>= 0) on meeting the budget.
-    max_bisections:
-        Maximum bisection steps on the dual penalty.
-    solver_max_iter, solver_tol, method:
+    solver_max_iter, solver_tol:
         Passed to the inner penalized solver.
     stats:
         Optional precomputed :class:`SufficientStats` for ``(Z, G)``.
@@ -1191,15 +1118,15 @@ def group_lasso_constrained(
     registry = get_registry()
     if not registry.enabled:
         return _constrained(
-            Z, G, budget, rtol, max_bisections, solver_max_iter, solver_tol,
-            method, stats=stats, warm=warm, probe_tol=probe_tol,
+            Z, G, budget, rtol, solver_max_iter, solver_tol,
+            stats=stats, warm=warm, probe_tol=probe_tol,
             screen=screen,
         )
     with span("fit.group_lasso", budget=float(budget)) as sp:
         iters_before = registry.counter("group_lasso.iterations").value
         result = _constrained(
-            Z, G, budget, rtol, max_bisections, solver_max_iter, solver_tol,
-            method, stats=stats, warm=warm, probe_tol=probe_tol,
+            Z, G, budget, rtol, solver_max_iter, solver_tol,
+            stats=stats, warm=warm, probe_tol=probe_tol,
             screen=screen,
         )
         total_iterations = (
@@ -1226,10 +1153,8 @@ def _constrained(
     G: Optional[np.ndarray],
     budget: float,
     rtol: float,
-    max_bisections: int,
     solver_max_iter: int,
     solver_tol: float,
-    method: str,
     stats: Optional[SufficientStats] = None,
     warm: Optional[WarmState] = None,
     probe_tol: Optional[float] = None,
@@ -1263,10 +1188,10 @@ def _constrained(
     n_responses, n_features = stats.n_responses, stats.n_features
     registry = get_registry()
 
-    # Slack check without coordinate descent: if even the unpenalized
+    # Slack check without an iterative solve: if even the unpenalized
     # (OLS) solution fits inside the budget, the constraint is inactive.
     # lstsq handles the highly correlated candidate columns exactly,
-    # where coordinate descent at mu ~ 0 would crawl.  The solution is
+    # where a first-order solver at mu ~ 0 would crawl.  The solution is
     # cached on the stats, so bisections over budgets pay for it once.
     ols_coef, ols_norm_sum, ols_objective = stats.ols(Z, G)
     if ols_norm_sum <= budget * (1.0 + rtol):
@@ -1302,7 +1227,7 @@ def _constrained(
         return group_lasso_penalized(
             None, None, mu, max_iter=solver_max_iter,
             tol=bracket_tol if tol is None else tol,
-            warm_start=warm_coef, method=method, stats=stats,
+            warm_start=warm_coef, stats=stats,
             screen=screener,
         )
 
@@ -1515,7 +1440,7 @@ def _constrained(
     best = hi_result if hi_result is not None else zero_result()
     best_strict = False
     ns_hi = best.norm_sum()
-    for _ in range(max_bisections):
+    for _ in range(_MAX_BISECTIONS):
         mid = float(np.sqrt(lo_mu * hi_mu))
         result = solve(mid, warm_coef)
         warm_coef = result.coef.copy()

@@ -134,11 +134,15 @@ class LambdaPathEngine:
         candidate_cols: np.ndarray,
         block_cols: np.ndarray,
     ) -> _ScopeState:
-        stats = prepare_stats(
-            self.dataset.X[:, candidate_cols],
-            self.dataset.F[:, block_cols],
-            lazy=self.screen,
-        )[2]
+        try:
+            stats = prepare_stats(
+                self.dataset.X[:, candidate_cols],
+                self.dataset.F[:, block_cols],
+                lazy=self.screen,
+            )[2]
+        except ValueError as exc:
+            where = f"core {core_index}" if core_index >= 0 else "global scope"
+            raise ValueError(f"{where}: {exc}") from None
         return _ScopeState(
             core_index=core_index,
             candidate_cols=candidate_cols,
@@ -204,7 +208,6 @@ class LambdaPathEngine:
                 rtol=cfg.rtol,
                 solver_max_iter=cfg.solver_max_iter,
                 solver_tol=cfg.solver_tol,
-                method=cfg.method,
                 stats=state.stats,
                 warm=state.warm,
                 probe_tol=cfg.probe_tol,

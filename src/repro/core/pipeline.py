@@ -55,9 +55,9 @@ class PipelineConfig:
         Fit one model per core (paper behaviour) or one global model.
     rtol:
         Budget-matching tolerance (>= 0) of the constrained GL solver.
-    solver_max_iter, solver_tol, method:
-        Inner solver controls: iteration cap (>= 1), convergence
-        tolerance (> 0) and ``"fista"`` or ``"bcd"``.
+    solver_max_iter, solver_tol:
+        Inner solver controls: iteration cap (>= 1) and convergence
+        tolerance (> 0).
     n_jobs:
         Worker threads for fitting independent scopes (and, through
         :func:`~repro.core.lambda_sweep.sweep_lambda`, independent λ
@@ -84,7 +84,6 @@ class PipelineConfig:
     rtol: float = 1e-2
     solver_max_iter: int = 20000
     solver_tol: float = 1e-7
-    method: str = "fista"
     n_jobs: int = 1
     probe_tol: Optional[float] = 1e-5
     screen: bool = False
@@ -95,10 +94,6 @@ class PipelineConfig:
         check_non_negative(self.rtol, "rtol")
         check_integer(self.solver_max_iter, "solver_max_iter", minimum=1)
         check_positive(self.solver_tol, "solver_tol")
-        if self.method not in ("fista", "bcd"):
-            raise ValueError(
-                f"unknown method {self.method!r}; use 'fista' or 'bcd'"
-            )
         check_integer(self.n_jobs, "n_jobs", minimum=1)
         if self.probe_tol is not None:
             check_positive(self.probe_tol, "probe_tol")

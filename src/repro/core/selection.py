@@ -4,10 +4,10 @@ Normalizes the data, runs the constrained group lasso at the chosen
 ``lambda``, and thresholds the column norms ``||beta_m||_2`` against T
 (the paper uses T = 1e-3) to obtain the selected sensor index set S.
 
-For λ paths (sweeps, bisections) the expensive part of each call is the
-Gram computation inside the solver; :func:`prepare_stats` builds the
-standardized problem and its :class:`~repro.core.group_lasso.SufficientStats`
-once so repeated calls at different budgets never recompute it (see
+For λ paths (sweeps, bisections) the expensive part of each solve is
+the Gram computation; :func:`prepare_stats` builds the standardized
+problem and its :class:`~repro.core.group_lasso.SufficientStats` once
+so solves at different budgets never recompute it (see
 :mod:`repro.core.path_engine`).
 """
 
@@ -92,23 +92,39 @@ def prepare_stats(
 ) -> Tuple[np.ndarray, np.ndarray, SufficientStats]:
     """Standardize ``(X, F)`` and build the solver sufficient statistics.
 
-    Returns ``(z, g, stats)``: the standardized matrices exactly as
-    :func:`select_sensors` computes them internally, plus their
-    :class:`~repro.core.group_lasso.SufficientStats`.  Passing these
-    back into :func:`select_sensors` (or the constrained solver) makes
-    every solve of a λ path reuse one Gram computation, with
-    bit-identical coefficients.  The statistics already hold the OLS
-    slack-check solution, so the constrained solver can run on them
-    alone (``Z = G = None``).
+    Returns ``(z, g, stats)``: the standardized matrices plus their
+    :class:`~repro.core.group_lasso.SufficientStats`.  Solving on these
+    statistics makes every solve of a λ path reuse one Gram
+    computation.  The statistics already hold the OLS slack-check
+    solution, so the constrained solver runs on them alone
+    (``Z = G = None``).
+
+    Constant candidate columns (:attr:`Standardizer.constant_columns`)
+    are zeroed in ``z``: centering leaves them a ~1e-16 rounding
+    residue the solver could otherwise fit to, so they can never be
+    selected.
 
     With ``lazy=True`` the statistics skip the dense ``M×M`` Gram
     (``S = ZᵀZ``) and retain ``z`` instead; they are only usable with
     strong-rule screening (``screen=``), which assembles small Gram
     slices on demand.
+
+    Raises
+    ------
+    ValueError
+        If no candidate column varies: nothing could be selected.
     """
     X = check_matrix(X, "X")
     F = check_matrix(F, "F", n_rows=X.shape[0])
-    z = Standardizer().fit_transform(X)
+    standardizer = Standardizer()
+    z = standardizer.fit_transform(X)
+    constant = standardizer.constant_columns
+    if constant.all():
+        raise ValueError(
+            f"none of the {X.shape[1]} candidates varies over the "
+            f"{X.shape[0]} samples; nothing can be selected"
+        )
+    z[:, constant] = 0.0
     g = Standardizer().fit_transform(F)
     stats = SufficientStats.from_arrays(z, g, lazy=lazy)
     stats.ols(z, g)
@@ -147,14 +163,6 @@ def select_sensors(
     F: np.ndarray,
     budget: float,
     threshold: float = DEFAULT_THRESHOLD,
-    rtol: float = 1e-2,
-    solver_max_iter: int = 20000,
-    solver_tol: float = 1e-7,
-    method: str = "fista",
-    stats: Optional[SufficientStats] = None,
-    warm: Optional[WarmState] = None,
-    probe_tol: Optional[float] = None,
-    screen=None,
 ) -> SelectionResult:
     """Run paper Steps 3-5: normalize, solve GL, threshold ``||beta_m||``.
 
@@ -170,25 +178,6 @@ def select_sensors(
     threshold:
         The paper's T; candidates with ``||beta_m||_2 > T`` are
         selected.
-    rtol, solver_max_iter, solver_tol, method:
-        Numerical controls forwarded to the constrained solver.
-    stats:
-        Optional sufficient statistics of the *standardized* problem,
-        as returned by :func:`prepare_stats` for the same ``(X, F)``.
-        Skips every Gram recomputation inside the solve.
-    warm:
-        Optional warm-start state from a selection on the same data at
-        a nearby budget (:meth:`SelectionResult.warm_state`).
-    probe_tol:
-        Optional looser tolerance for bracket probes inside the
-        constrained solve (the result is re-polished at
-        ``solver_tol``); ``None`` keeps every solve at ``solver_tol``.
-    screen:
-        Strong-rule screening control, forwarded to
-        :func:`~repro.core.group_lasso.group_lasso_constrained`:
-        ``None``/``False`` off (default), ``True`` a fresh screener, or
-        a :class:`~repro.core.group_lasso.StrongRuleScreener` carrying
-        sequential state along a λ path.
 
     Returns
     -------
@@ -198,26 +187,10 @@ def select_sensors(
     ------
     ValueError
         If no sensor survives the threshold — the budget is too small
-        to be useful; increase lambda.
+        to be useful; increase lambda — or no candidate varies.
     """
     check_positive(budget, "budget")
     check_positive(threshold, "threshold")
-    X = check_matrix(X, "X")
-    F = check_matrix(F, "F", n_rows=X.shape[0])
-
-    z = Standardizer().fit_transform(X)
-    g = Standardizer().fit_transform(F)
-    gl = group_lasso_constrained(
-        z,
-        g,
-        budget=budget,
-        rtol=rtol,
-        solver_max_iter=solver_max_iter,
-        solver_tol=solver_tol,
-        method=method,
-        stats=stats,
-        warm=warm,
-        probe_tol=probe_tol,
-        screen=screen,
-    )
+    stats = prepare_stats(X, F)[2]
+    gl = group_lasso_constrained(None, None, budget=budget, stats=stats)
     return threshold_selection(gl, budget, threshold)

@@ -83,7 +83,6 @@ def save_placement(path: str, model: PlacementModel) -> None:
             "budget": model.config.budget,
             "threshold": model.config.threshold,
             "per_core": model.config.per_core,
-            "method": model.config.method,
         },
         "scopes": scopes_meta,
     }
@@ -99,7 +98,9 @@ def load_placement(path: str) -> PlacementModel:
 
     The returned model predicts and alarms exactly like the original;
     its selection records carry the stored norms with a placeholder
-    group-lasso result (solver internals are not persisted).
+    group-lasso result (solver internals are not persisted).  Files
+    written by earlier releases also record the solver in
+    ``config.method``; the key is ignored, since one solver remains.
 
     Raises
     ------
@@ -116,7 +117,6 @@ def load_placement(path: str) -> PlacementModel:
             budget=meta["config"]["budget"],
             threshold=meta["config"]["threshold"],
             per_core=meta["config"]["per_core"],
-            method=meta["config"]["method"],
         )
         scopes: List[ScopeModel] = []
         for i, scope_meta in enumerate(meta["scopes"]):

@@ -129,13 +129,6 @@ class TournamentConfig:
         Onset cycle and stream length of each fault trial.
     seed:
         Seed for stochastic placers (threaded via the constraints).
-    variation_refit:
-        For placers advertising ``supports_warm_start``, re-place on
-        every variation instance with a warm-started twin of the placer
-        (seeded by the nominal placement) and record the reuse in
-        ``entry.meta["variation_refit"]`` plus the
-        ``tournament.warm_start_hits`` counter.  Diagnostics only — the
-        leaderboard document is unchanged.
     """
 
     placers: Tuple[str, ...] = DEFAULT_PLACERS
@@ -149,7 +142,6 @@ class TournamentConfig:
     fault_start: int = 16
     fault_cycles: int = 160
     seed: int = 0
-    variation_refit: bool = True
 
     def __post_init__(self) -> None:
         if not self.placers:
@@ -475,95 +467,6 @@ def _score_faults(
     return out
 
 
-def _instance_dataset(
-    train: VoltageDataset, inst: VariationInstance
-) -> VoltageDataset:
-    """A variation instance wrapped as a placeable dataset.
-
-    The varied die keeps the nominal grid's node/block layout — only
-    the simulated voltages differ — so the training dataset's metadata
-    carries over verbatim and a placer can re-place on the instance's
-    ``X``/``F``.
-    """
-    n = inst.X.shape[0]
-    return VoltageDataset(
-        X=inst.X,
-        F=inst.F,
-        candidate_nodes=train.candidate_nodes,
-        candidate_cores=train.candidate_cores,
-        critical_nodes=train.critical_nodes,
-        block_names=train.block_names,
-        block_cores=train.block_cores,
-        benchmark_of_sample=np.zeros(n, dtype=np.int64),
-        benchmark_names=[inst.benchmark],
-        vdd=train.vdd,
-    )
-
-
-def _refit_variations(
-    placer: Placer,
-    train: VoltageDataset,
-    constraints: PlacementConstraints,
-    variations: List[VariationInstance],
-    config: TournamentConfig,
-) -> Optional[Dict[str, Any]]:
-    """Warm-started re-placements across the shared variation instances.
-
-    For a placer advertising ``supports_warm_start``, builds a twin
-    with the warm cache enabled, seeds it with a nominal place on the
-    training data, then re-places on every variation instance — each
-    refit's bisection starts from the previous placement's final
-    ``(lambda, warm_state)`` per scope.  Returns a diagnostics dict
-    (also counted into ``tournament.warm_start_hits``), or ``None``
-    when the placer cannot warm-start / refits are disabled.  Never
-    affects the scored entry or the leaderboard document.
-    """
-    if not config.variation_refit or not variations:
-        return None
-    if not getattr(type(placer), "supports_warm_start", False):
-        return None
-    try:
-        warm_placer = get_placer(placer.name, warm_start=True)
-    except TypeError:
-        return None
-    nominal = warm_placer.place(train, config.budget, constraints=constraints)
-
-    hits = 0
-    probes = 0
-    scopes_total = 0
-    stability: List[float] = []
-    for inst in variations:
-        inst_data = _instance_dataset(train, inst)
-        placement = warm_placer.place(
-            inst_data, config.budget, constraints=constraints
-        )
-        for scope in placement.meta.get("scopes", {}).values():
-            scopes_total += 1
-            probes += int(scope.get("probes", 0))
-            if scope.get("warm_start"):
-                hits += 1
-        stability.append(
-            float(
-                np.intersect1d(
-                    placement.selected_cols, nominal.selected_cols
-                ).size
-            )
-            / max(1, placement.selected_cols.size)
-        )
-    registry = get_registry()
-    if registry.enabled and hits:
-        registry.counter("tournament.warm_start_hits").inc(hits)
-    if registry.enabled:
-        registry.counter("tournament.variation_refits").inc(len(variations))
-    return {
-        "instances": len(variations),
-        "scopes": scopes_total,
-        "warm_start_hits": hits,
-        "probes": probes,
-        "placement_overlap": stability,
-    }
-
-
 def _evaluate_placer(
     placer: Placer,
     data: GeneratedData,
@@ -619,11 +522,6 @@ def _evaluate_placer(
 
     faults = _score_faults(model, ev, config) if config.fault_modes else {}
 
-    entry_meta = dict(placement.meta)
-    refit = _refit_variations(placer, train, constraints, variations, config)
-    if refit is not None:
-        entry_meta["variation_refit"] = refit
-
     overall = float(np.mean([nominal["relative_error"]] + variation_errors))
     return TournamentEntry(
         placer=placer.name,
@@ -636,7 +534,7 @@ def _evaluate_placer(
         variation_total_rates=variation_te,
         faults=faults,
         overall_error=overall,
-        meta=entry_meta,
+        meta=dict(placement.meta),
     )
 
 

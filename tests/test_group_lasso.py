@@ -64,13 +64,21 @@ class TestPenalized:
         assert np.all(result.coef == 0.0)
 
     def test_methods_agree(self):
+        # FISTA against a solver-independent certificate (the KKT
+        # conditions at its penalty) and against the second-order
+        # active-set refiner started from zero.
         Z, G, _ = sparse_problem(seed=1)
-        fista = group_lasso_penalized(Z, G, mu=40.0, method="fista")
-        bcd = group_lasso_penalized(Z, G, mu=40.0, method="bcd")
-        assert np.allclose(fista.coef, bcd.coef, atol=1e-5)
-        assert set(fista.active_groups(1e-4).tolist()) == set(
-            bcd.active_groups(1e-4).tolist()
+        stats = SufficientStats.from_arrays(Z, G)
+        fista = group_lasso_penalized(Z, G, mu=40.0)
+        assert _kkt_clean(stats.S, stats.A, fista.coef, 40.0, rtol=1e-4)
+        newton = gl._active_refine(
+            stats.S, stats.A, stats.diag_S, 40.0, np.zeros_like(fista.coef)
         )
+        assert newton is not None
+        assert np.allclose(fista.coef, newton, atol=1e-5)
+        assert fista.active_groups(1e-4).tolist() == np.nonzero(
+            np.linalg.norm(newton, axis=0) > 1e-4
+        )[0].tolist()
 
     def test_objective_decreases_with_looser_penalty(self):
         # Fit term at smaller mu must be at least as good.
@@ -102,8 +110,6 @@ class TestPenalized:
             group_lasso_penalized(Z, G, mu=1.0, max_iter=0)
         with pytest.raises(ValueError):
             group_lasso_penalized(Z, G, mu=1.0, tol=0.0)
-        with pytest.raises(ValueError):
-            group_lasso_penalized(Z, G, mu=1.0, method="newton")
 
     def test_constant_feature_never_selected(self):
         Z, G, _ = sparse_problem(n=100, m=8, active=(1,))
@@ -293,21 +299,30 @@ class TestConstrainedPathFidelity:
         assert warm.norm_sum() == pytest.approx(cold.norm_sum(), rel=1e-4)
 
     def test_methods_agree_at_tight_budgets(self):
-        # FISTA vs coordinate descent on correlated features: the
-        # selected groups (and the attained norm sums) must agree at
-        # tight budgets, where the solution is sparse enough for BCD.
+        # The constrained solve on correlated features satisfies the
+        # KKT conditions at its returned penalty, and plain proximal
+        # gradient started from zero at that penalty selects the same
+        # groups with the same attained norm sum.  (The active-set
+        # Newton refiner is no reference here: started from zero it
+        # admits groups it cannot drop again and stalls.)
         Z, G = correlated_problem(seed=4)
+        stats = SufficientStats.from_arrays(Z, G)
         for budget in (0.3, 0.8):
-            fista = group_lasso_constrained(
-                Z, G, budget=budget, method="fista"
+            fista = group_lasso_constrained(Z, G, budget=budget)
+            assert fista.penalty > 0.0
+            assert _kkt_clean(
+                stats.S, stats.A, fista.coef, fista.penalty, rtol=1e-4
             )
-            bcd = group_lasso_constrained(Z, G, budget=budget, method="bcd")
+            ista = GroupLassoResult(
+                coef=_ista(stats.S, stats.A, fista.penalty),
+                penalty=fista.penalty,
+            )
             assert (
                 fista.active_groups(1e-3).tolist()
-                == bcd.active_groups(1e-3).tolist()
+                == ista.active_groups(1e-3).tolist()
             )
             assert fista.norm_sum() == pytest.approx(
-                bcd.norm_sum(), rel=5e-2
+                ista.norm_sum(), rel=5e-2
             )
 
 
@@ -337,15 +352,23 @@ class TestPathStart:
     path start.
     """
 
-    @pytest.mark.parametrize("method", ["fista", "bcd"])
-    def test_all_zero_at_mu_max(self, method):
+    @staticmethod
+    def _solve(method, monkeypatch, *args, **kwargs):
+        # "fista" runs the default path (the compiled kernel when it
+        # is available), "numpy" the numpy reference loop.
+        if method == "numpy":
+            monkeypatch.setenv(ckernels.DISABLE_ENV_VAR, "1")
+        return group_lasso_penalized(*args, **kwargs)
+
+    @pytest.mark.parametrize("method", ["fista", "numpy"])
+    def test_all_zero_at_mu_max(self, method, monkeypatch):
         Z, G, _ = sparse_problem()
         stats = SufficientStats.from_arrays(Z, G)
-        result = group_lasso_penalized(Z, G, mu=stats.mu_max, method=method)
+        result = self._solve(method, monkeypatch, Z, G, mu=stats.mu_max)
         assert np.all(result.coef == 0.0)
 
-    @pytest.mark.parametrize("method", ["fista", "bcd"])
-    def test_all_zero_at_mu_max_degenerate_columns(self, method):
+    @pytest.mark.parametrize("method", ["fista", "numpy"])
+    def test_all_zero_at_mu_max_degenerate_columns(self, method, monkeypatch):
         # Constant (zero after centering) and duplicated columns: the
         # per-group thresholds tie, the worst case for the max.
         rng = np.random.default_rng(3)
@@ -354,9 +377,7 @@ class TestPathStart:
         Z[:, 5] = Z[:, 1]      # exact duplicate: tied ||A_g||
         G = rng.standard_normal((100, 3))
         stats = SufficientStats.from_arrays(Z, G)
-        result = group_lasso_penalized(
-            Z, G, mu=stats.mu_max, method=method
-        )
+        result = self._solve(method, monkeypatch, Z, G, mu=stats.mu_max)
         assert np.all(result.coef == 0.0)
 
     def test_mu_max_is_max_group_threshold(self):
@@ -623,6 +644,18 @@ def _step_problem(seed, a, k, collinear=False, n=200):
     c = np.mean(np.diag(Saa)) * 10.0 ** rng.uniform(-2.0, 2.0, a)
     Gt = rng.standard_normal((a, k))
     return Saa, c, U, Gt
+
+
+def _ista(S, A, mu, n_iter=20000):
+    """Plain proximal gradient from zero: no momentum, restart, kernel
+    or residue zeroing — a reference that shares no code with FISTA."""
+    L = float(np.linalg.eigvalsh(S)[-1])
+    B = np.zeros((A.shape[1], A.shape[0]))
+    for _ in range(n_iter):
+        W = B - (B @ S - A.T) / L
+        norms = np.linalg.norm(W, axis=0)
+        B = W * np.maximum(0.0, 1.0 - mu / L / np.maximum(norms, 1e-300))
+    return B
 
 
 def _kkt_clean(S, A, B, mu, rtol=1e-6):

@@ -29,7 +29,6 @@ class TestPipelineConfig:
             ("probe_tol", 0.0, ValueError),
             ("solver_tol", 0.0, ValueError),
             ("solver_tol", float("inf"), ValueError),
-            ("method", "newton", ValueError),
             ("solver_max_iter", 0, ValueError),
             ("solver_max_iter", 2.5, TypeError),
         ],
@@ -39,7 +38,7 @@ class TestPipelineConfig:
             PipelineConfig(budget=1.0, **{field: value})
 
     def test_accepts_edge_solver_settings(self):
-        cfg = PipelineConfig(budget=1.0, rtol=0.0, probe_tol=None, method="bcd")
+        cfg = PipelineConfig(budget=1.0, rtol=0.0, probe_tol=None)
         assert cfg.rtol == 0.0 and cfg.probe_tol is None
 
 

@@ -22,7 +22,6 @@ import pytest
 
 from repro.baselines import (
     EagleEyePlacer,
-    GroupLassoPlacer,
     Placement,
     PlacementConstraints,
     Placer,
@@ -38,7 +37,6 @@ from repro.baselines import (
     register_placer,
     worst_noise_ranking,
 )
-from repro.core.selection import select_sensors
 from tests.conftest import make_synthetic_dataset
 
 THRESHOLD = 0.915
@@ -162,20 +160,6 @@ def test_plain_lasso_matches_legacy_at_exact_count(ds):
         ds, int(survivors.size), constraints=_constraints(per_core=False)
     )
     np.testing.assert_array_equal(got.selected_cols, survivors)
-
-
-def test_group_lasso_lambda_mode_matches_legacy(ds):
-    # Global scope at a fixed lambda: the placer's top-n ranking must
-    # reproduce select_sensors' thresholded set exactly when the budget
-    # equals the legacy selection size.
-    lam = 2.0
-    legacy = select_sensors(ds.X, ds.F, lam)
-    n = int(legacy.selected.size)
-    assert n >= 1
-    got = GroupLassoPlacer(lambda_=lam).place(
-        ds, n, constraints=_constraints(per_core=False)
-    )
-    np.testing.assert_array_equal(got.selected_cols, np.sort(legacy.selected))
 
 
 def test_group_lasso_count_mode_hits_budget(ds):
@@ -319,53 +303,12 @@ def test_spacing_shorthand_equals_constraints(ds):
 
 
 def test_capability_flags():
-    assert get_placer("group_lasso").supports_warm_start
     assert get_placer("random").uses_rng
     assert not get_placer("worst_noise").uses_rng
 
 
 class TestGroupLassoWarmStart:
-    """Opt-in warm starts: cached (lambda, warm_state) across places."""
-
-    def test_repeat_placement_hits_cache_exactly(self, ds):
-        warm = get_placer("group_lasso", warm_start=True)
-        cold = get_placer("group_lasso")
-        p_cold = cold.place(ds, 2, constraints=_constraints())
-        p1 = warm.place(ds, 2, constraints=_constraints())
-        p2 = warm.place(ds, 2, constraints=_constraints())
-        np.testing.assert_array_equal(p1.selected_cols, p_cold.selected_cols)
-        np.testing.assert_array_equal(p2.selected_cols, p1.selected_cols)
-        scopes1 = p1.meta["scopes"]
-        scopes2 = p2.meta["scopes"]
-        # First placement is cold; the repeat starts from each scope's
-        # cached lambda, which hits the budget in a single probe.
-        assert all(not s["warm_start"] for s in scopes1.values())
-        assert all(s["warm_start"] for s in scopes2.values())
-        assert all(s["probes"] == 1 for s in scopes2.values())
-        total1 = sum(s["probes"] for s in scopes1.values())
-        total2 = sum(s["probes"] for s in scopes2.values())
-        assert total2 <= total1
-
-    def test_perturbed_data_stays_correct_under_warm_start(self, ds):
-        """Warm starts change the probe path, never the selection rule:
-        a warm-started place on perturbed data equals a cold place."""
-        import dataclasses
-
-        rng = np.random.default_rng(4)
-        base = make_synthetic_dataset(seed=5, noise=0.002)
-        # Perturb voltages slightly (same structure, different bytes).
-        shifted = dataclasses.replace(
-            base, X=base.X + rng.normal(0, 1e-4, base.X.shape)
-        )
-        warm = get_placer("group_lasso", warm_start=True)
-        warm.place(ds, 2, constraints=_constraints())  # seed the cache
-        p_warm = warm.place(shifted, 2, constraints=_constraints())
-        p_cold = get_placer("group_lasso").place(
-            shifted, 2, constraints=_constraints()
-        )
-        np.testing.assert_array_equal(
-            p_warm.selected_cols, p_cold.selected_cols
-        )
+    """Warm starts stay inside one place call: nothing carries over."""
 
     def test_default_placer_is_stateless(self, ds):
         cold = get_placer("group_lasso")
@@ -376,4 +319,3 @@ class TestGroupLassoWarmStart:
             [s["probes"] for s in a.meta["scopes"].values()]
             == [s["probes"] for s in b.meta["scopes"].values()]
         )
-        assert all(not s["warm_start"] for s in b.meta["scopes"].values())

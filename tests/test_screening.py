@@ -25,6 +25,7 @@ from repro.core.selection import (
     DEFAULT_THRESHOLD,
     prepare_stats,
     select_sensors,
+    threshold_selection,
 )
 
 from tests.conftest import make_synthetic_dataset
@@ -276,20 +277,25 @@ class TestScreenedConstrained:
 
 
 class TestScreenedSelection:
+    @staticmethod
+    def _screened(X, F, budget, lazy):
+        stats = prepare_stats(X, F, lazy=lazy)[2]
+        gl = group_lasso_constrained(
+            None, None, budget, stats=stats, screen=True
+        )
+        return threshold_selection(gl, budget, DEFAULT_THRESHOLD)
+
     def test_select_sensors_same_set(self):
         ds = make_synthetic_dataset()
-        X, F = ds.X, ds.F
-        plain = select_sensors(X, F, budget=1.0)
-        screened = select_sensors(X, F, budget=1.0, screen=True)
+        plain = select_sensors(ds.X, ds.F, budget=1.0)
+        screened = self._screened(ds.X, ds.F, 1.0, lazy=False)
         np.testing.assert_array_equal(plain.selected, screened.selected)
 
     def test_prepare_stats_lazy(self):
         ds = make_synthetic_dataset()
         z, g, stats = prepare_stats(ds.X, ds.F, lazy=True)
         assert stats.is_lazy
-        sel = select_sensors(
-            ds.X, ds.F, budget=1.0, stats=stats, screen=True
-        )
+        sel = self._screened(ds.X, ds.F, 1.0, lazy=True)
         plain = select_sensors(ds.X, ds.F, budget=1.0)
         np.testing.assert_array_equal(plain.selected, sel.selected)
 

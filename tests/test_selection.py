@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.selection import DEFAULT_THRESHOLD, select_sensors
+from repro.baselines import get_placer
+from repro.core.lambda_sweep import fit_for_sensor_count
+from repro.core.pipeline import PipelineConfig, fit_placement
+from repro.core.selection import DEFAULT_THRESHOLD, prepare_stats, select_sensors
 from tests.conftest import make_synthetic_dataset
 
 
@@ -63,3 +66,49 @@ class TestSelectSensors:
             select_sensors(ds.X, ds.F, budget=1.0, threshold=0.0)
         with pytest.raises(ValueError):
             select_sensors(ds.X, ds.F[:-1], budget=1.0)
+
+
+def _constant_core0(n_constant=None):
+    """Synthetic data with core 0's first ``n_constant`` candidates (all
+    of them by default) pinned to one voltage."""
+    ds = make_synthetic_dataset()
+    cand, _ = ds.core_view(0)
+    ds.X[:, cand[:n_constant]] = 0.93
+    return ds
+
+
+class TestConstantCandidates:
+    """Constant candidates carry no information and are never selected.
+
+    Standardizing leaves a ~1e-16 centering residue in a constant
+    column; a solver fitting to it once "selected" all of them.
+    """
+
+    def test_prepare_stats_zeroes_constant_columns(self):
+        ds = _constant_core0(n_constant=5)
+        cand, blocks = ds.core_view(0)
+        z, _, stats = prepare_stats(ds.X[:, cand], ds.F[:, blocks])
+        assert np.all(z[:, :5] == 0.0)
+        assert np.all(stats.diag_S[:5] == 0.0)
+        assert np.all(stats.diag_S[5:] > 0.0)
+
+    def test_constant_candidates_never_selected(self):
+        ds = _constant_core0(n_constant=5)
+        model = fit_placement(ds, PipelineConfig(budget=1.0))
+        cand, _ = ds.core_view(0)
+        assert not np.isin(cand[:5], model.sensor_candidate_cols).any()
+        placement = get_placer("group_lasso").place(ds, 2)
+        assert not np.isin(cand[:5], placement.selected_cols).any()
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda ds: fit_placement(ds, PipelineConfig(budget=1.0)),
+            lambda ds: fit_for_sensor_count(ds, 2.0),
+            lambda ds: get_placer("group_lasso").place(ds, 2),
+        ],
+        ids=["fit_placement", "fit_for_sensor_count", "group_lasso_placer"],
+    )
+    def test_scope_without_varying_candidate_fails_loudly(self, fit):
+        with pytest.raises(ValueError, match="core 0: none of the 12"):
+            fit(_constant_core0())

@@ -1,5 +1,7 @@
 """Tests for repro.core.serialization (placement save/load)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -72,3 +74,34 @@ class TestPlacementRoundTrip:
         path = str(tmp_path / "a" / "b" / "placement.npz")
         save_placement(path, model)
         assert load_placement(path).n_sensors == model.n_sensors
+
+    def test_new_files_carry_no_solver_key(self, tmp_path):
+        _, model = self.fitted()
+        path = str(tmp_path / "placement.npz")
+        save_placement(path, model)
+        meta = _read_meta(path)
+        assert meta["version"] == 1
+        assert set(meta["config"]) == {"budget", "threshold", "per_core"}
+
+    def test_loads_files_recording_the_solver(self, tmp_path):
+        # Files written while a second solver existed record it in
+        # config.method; they load unchanged.
+        ds, model = self.fitted()
+        path = str(tmp_path / "placement.npz")
+        save_placement(path, model)
+        data = dict(np.load(path))
+        meta = _read_meta(path)
+        meta["config"]["method"] = "fista"
+        data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez_compressed(path, **data)
+        loaded = load_placement(path)
+        assert loaded.config == model.config
+        assert np.array_equal(
+            loaded.sensor_candidate_cols, model.sensor_candidate_cols
+        )
+        assert np.array_equal(loaded.predict(ds.X[:20]), model.predict(ds.X[:20]))
+
+
+def _read_meta(path):
+    with np.load(path) as npz:
+        return json.loads(bytes(npz["meta"].tobytes()).decode())

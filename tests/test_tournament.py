@@ -12,6 +12,8 @@ placer lands in ``problems``, not an exception), and the committed
 ``results/leaderboard.json`` artifact's required coverage.
 """
 
+import contextlib
+import io
 import json
 import os
 
@@ -186,14 +188,25 @@ def test_committed_leaderboard_meets_coverage_floor():
         assert np.isfinite(entry["overall_error"])
 
 
-def test_quick_cli_writes_leaderboard_documents(tmp_path, capsys):
-    out = tmp_path / "leaderboard.json"
-    markdown = tmp_path / "leaderboard.md"
-    code = tournament.main(
-        ["--quick", "--out", str(out), "--markdown", str(markdown)]
+@pytest.fixture(scope="module")
+def quick_cli(tmp_path_factory):
+    """One ``--quick`` CLI run: (exit code, document, markdown, stdout)."""
+    tmp = tmp_path_factory.mktemp("quick_cli")
+    out, markdown = tmp / "leaderboard.json", tmp / "leaderboard.md"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = tournament.main(
+            ["--quick", "--out", str(out), "--markdown", str(markdown)]
+        )
+    return (
+        code, json.loads(out.read_text()), markdown.read_text(),
+        stdout.getvalue(),
     )
+
+
+def test_quick_cli_writes_leaderboard_documents(quick_cli):
+    code, doc, markdown, stdout = quick_cli
     assert code == 0
-    doc = json.loads(out.read_text())
     assert validate_bench(doc) == []
     assert doc["profile"] == "tournament-quick"
     assert doc["problems"] == []
@@ -202,8 +215,25 @@ def test_quick_cli_writes_leaderboard_documents(tmp_path, capsys):
     )
     assert doc["counters"]
     for placer in DEFAULT_PLACERS:
-        assert f"| {placer} |" in markdown.read_text()
-    assert "tournament:" in capsys.readouterr().out
+        assert f"| {placer} |" in markdown
+    assert "tournament:" in stdout
+
+
+def test_quick_cli_counts_one_placement_per_placer(quick_cli):
+    # Every placer places once, on the training data; the counters a
+    # run writes are exactly that, so the committed leaderboard's
+    # counters can be regenerated.
+    _, doc, _, _ = quick_cli
+    counters = doc["counters"]
+    assert set(counters) == {
+        f"placer.{name}.{kind}"
+        for name in DEFAULT_PLACERS
+        for kind in ("placements", "sensors")
+    }
+    for entry in doc["entries"]:
+        name = entry["placer"]
+        assert counters[f"placer.{name}.placements"] == 1
+        assert counters[f"placer.{name}.sensors"] == entry["n_sensors"]
 
 
 def test_cli_exits_nonzero_when_a_placer_fails(monkeypatch, capsys):
@@ -218,62 +248,3 @@ def test_cli_exits_nonzero_when_a_placer_fails(monkeypatch, capsys):
     )
     assert tournament.main(["--quick"]) == 1
     assert "no_such_placer" in capsys.readouterr().out
-
-
-class TestVariationRefit:
-    """Warm-started re-placement across shared variation instances."""
-
-    def test_refit_records_warm_reuse(self, tiny_data):
-        import repro.obs as obs
-
-        config = TournamentConfig(
-            placers=("group_lasso", "worst_noise"),
-            budget=1,
-            n_variation=2,
-            variation_steps=60,
-            fault_modes=(),
-        )
-        with obs.use_registry(obs.MetricsRegistry()) as registry:
-            result = run_tournament(tiny_data, config)
-            assert (
-                registry.counter("tournament.variation_refits").snapshot()
-                == 2
-            )
-            assert (
-                registry.counter("tournament.warm_start_hits").snapshot()
-                >= 1
-            )
-        by_name = {e.placer: e for e in result.entries}
-        refit = by_name["group_lasso"].meta["variation_refit"]
-        assert refit["instances"] == 2
-        assert refit["scopes"] >= 2
-        assert 1 <= refit["warm_start_hits"] <= refit["scopes"]
-        assert refit["probes"] >= refit["scopes"]
-        assert len(refit["placement_overlap"]) == 2
-        assert all(0.0 <= o <= 1.0 for o in refit["placement_overlap"])
-        # Placers that cannot warm-start simply skip the axis.
-        assert "variation_refit" not in by_name["worst_noise"].meta
-
-    def test_refit_disabled_leaves_meta_untouched(self, tiny_data):
-        config = TournamentConfig(
-            placers=("group_lasso",),
-            budget=1,
-            n_variation=1,
-            variation_steps=60,
-            fault_modes=(),
-            variation_refit=False,
-        )
-        result = run_tournament(tiny_data, config)
-        assert "variation_refit" not in result.entries[0].meta
-
-    def test_refit_never_reaches_leaderboard_document(self, tiny_data):
-        config = TournamentConfig(
-            placers=("group_lasso",),
-            budget=1,
-            n_variation=1,
-            variation_steps=60,
-            fault_modes=(),
-        )
-        result = run_tournament(tiny_data, config)
-        doc = result.leaderboard()
-        assert "variation_refit" not in json.dumps(doc)
